@@ -7,17 +7,21 @@ are counted as error-free - the paper designed its experiments the same way
 ("observed error rates were lower than 1 error per 1,000 executions"), so
 this short-cut introduces no artifact.
 
-Each simulated strike boots the machine in *beam mode* (steady-state caches
-with the background-OS working set, online check routine, golden output in
-memory) and either resolves through execution or through the board model
-for background-OS line hits.  Platform-logic strikes resolve through the
-board model alone.  Results are cached on disk.
+Strikes run on the fault-injection engine: one
+:class:`~repro.injection.parallel.ImageInjector` per workload, built from a
+*beam-mode* image (steady-state caches with the background-OS working set,
+online check routine, golden output in memory) whose checkpoints come from
+the warm reference run.  A strike either resolves through execution or,
+for background-OS line hits, through the board model, via the injector's
+pre-flip hook.  Platform-logic strikes resolve through the board model
+alone.  Results are cached on disk.
 """
 
 from __future__ import annotations
 
 import binascii
-import json
+import dataclasses
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,21 +31,19 @@ from repro.beam.board import ZEDBOARD, BoardModel, BoardModelOutcome
 from repro.beam.checkroutine import build_check_program
 from repro.beam.facility import LANSCE, BeamFacility
 from repro.beam.fit import fit_rate, poisson_interval, sample_poisson
+from repro.errors import ConfigurationError
 from repro.injection.campaign import (
-    WATCHDOG_FACTOR,
-    WATCHDOG_SLACK,
     default_cache_dir,
+    load_cache_entry,
+    store_cache_entry,
 )
-from repro.injection.classify import FaultEffect, classify_run
-from repro.injection.components import Component, component_bits, component_target
+from repro.injection.classify import FaultEffect
+from repro.injection.components import Component, component_bits
+from repro.injection.fault import Fault
+from repro.injection.parallel import ImageInjector, MachineImage, boot_system
 from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
-from repro.microarch.snapshot import (
-    SystemSnapshot,
-    best_snapshot,
-    record_snapshots,
-)
-from repro.microarch.system import System
+from repro.microarch.snapshot import SystemSnapshot, record_snapshots
 from repro.workloads.base import Workload
 
 
@@ -54,6 +56,12 @@ class BeamCampaignConfig:
     machine: MachineConfig = SCALED_A9_CONFIG
     facility: BeamFacility = LANSCE
     board: BoardModel = ZEDBOARD
+
+    def __post_init__(self):
+        if not (math.isfinite(self.beam_hours) and self.beam_hours > 0):
+            raise ConfigurationError(
+                f"beam_hours must be finite and above zero, got {self.beam_hours!r}"
+            )
 
     def cache_key(self, workload_name: str) -> str:
         return (
@@ -144,90 +152,87 @@ class BeamExperiment:
         return self.cache_dir / (self.config.cache_key(workload_name) + ".json")
 
     def _load_cached(self, workload_name: str) -> BeamResult | None:
-        path = self._cache_path(workload_name)
-        if not path.exists():
-            return None
-        try:
-            return BeamResult.from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError):
-            return None
+        return load_cache_entry(
+            self._cache_path(workload_name), BeamResult.from_dict, self._progress
+        )
 
     # -- machine construction -------------------------------------------------
 
-    def _beam_system(self, workload: Workload, golden: bytes) -> System:
+    def _beam_image(self, workload: Workload, golden: bytes) -> MachineImage:
+        """The beam-mode machine image, before the warm run sizes it."""
         machine = self.config.machine
-        check = build_check_program(machine.layout, len(golden))
-        return System(
-            workload.program(machine.layout),
-            config=machine,
-            check_program=check,
+        return MachineImage(
+            name=workload.name,
+            program=workload.program(machine.layout),
+            machine=machine,
+            golden_cycles=0,
             golden_output=golden,
+            check_program=build_check_program(machine.layout, len(golden)),
             beam_mode=True,
             seed=self.config.seed,
         )
 
-    def _golden_beam_run(self, workload: Workload, golden: bytes):
+    def _golden_beam_run(self, image: MachineImage):
         """Establish campaign steady state and the warm reference run.
 
         Executions run back-to-back under beam, so the measured state is
         not a cold boot: the machine executes one full warm-up run (from
         the prefilled background-OS state), is soft-rebooted keeping the
         memory hierarchy, and the *second* execution is the reference.
-        Returns ``(warm_boot_snapshot, warm_result)``: the snapshot is the
-        post-reboot cycle-0 state every strike run starts from.
+        Returns ``(system, warm_boot_snapshot, warm_result)``: the snapshot
+        is the post-reboot cycle-0 state every strike run starts from.
         """
-        system = self._beam_system(workload, golden)
+        system = boot_system(image)
         first = system.run(max_cycles=200_000_000)
         if not first.exited_cleanly or first.sdc_flag or not first.check_done:
             raise RuntimeError(
-                f"warm-up beam run of {workload.name} failed: {first.outcome}, "
+                f"warm-up beam run of {image.name} failed: {first.outcome}, "
                 f"sdc={first.sdc_flag}, check_done={first.check_done}"
             )
         system.soft_reset()
         warm_boot = SystemSnapshot(system)
         warm = system.run(max_cycles=200_000_000)
+        golden = image.golden_output
         if not warm.exited_cleanly or warm.sdc_flag or warm.output != golden:
-            raise RuntimeError(
-                f"warm beam run of {workload.name} failed: {warm.outcome}"
-            )
-        return warm_boot, warm
+            raise RuntimeError(f"warm beam run of {image.name} failed: {warm.outcome}")
+        return system, warm_boot, warm
+
+    def _warm_image(self, workload: Workload) -> MachineImage:
+        """The image strikes run on: warm golden run plus its checkpoints."""
+        image = self._beam_image(workload, workload.reference_output())
+        system, warm_boot, warm = self._golden_beam_run(image)
+        # Checkpoint the warm reference run for fast-forwarded strikes:
+        # replay it from the warm-boot state, snapshotting along the way.
+        warm_boot.restore(system)
+        step = max(1, warm.cycles // 9)
+        checkpoints = record_snapshots(
+            system, [step * (index + 1) for index in range(8)]
+        )
+        return dataclasses.replace(
+            image, golden_cycles=warm.cycles, snapshots=[warm_boot] + checkpoints
+        )
 
     # -- strike execution ---------------------------------------------------------
 
-    def _strike_effect(
-        self,
-        workload: Workload,
-        golden: bytes,
-        component: Component,
-        bit_index: int,
-        cycle: int,
-        budget: int,
-        rng: random.Random,
-        snapshots: list | None = None,
-    ) -> FaultEffect:
-        system = self._beam_system(workload, golden)
-        if snapshots:
-            snapshot = best_snapshot(snapshots, cycle)
-            if snapshot is not None:
-                snapshot.restore(system)
+    def _os_line_hook(self, rng: random.Random):
+        """Pre-flip hook: the board model resolves background-OS line hits."""
         board = self.config.board
         layout = self.config.machine.layout
-        target = component_target(system, component)
 
-        def fire():
-            if isinstance(target, Cache):
-                line = target.line_at(bit_index)
-                if line.valid:
-                    region = layout.region_of(target.line_base_paddr(bit_index))
-                    if region == "os_background":
-                        raise BoardModelOutcome(board.sample_os_line_outcome(rng))
-            target.flip_bit(bit_index)
+        def resolve(target, fault: Fault) -> None:
+            if isinstance(target, Cache) and target.line_at(fault.bit_index).valid:
+                region = layout.region_of(target.line_base_paddr(fault.bit_index))
+                if region == "os_background":
+                    raise BoardModelOutcome(board.sample_os_line_outcome(rng))
 
+        return resolve
+
+    def _strike_effect(self, injector: ImageInjector, fault: Fault) -> FaultEffect:
+        """Run one strike on the campaign's injector and classify it."""
         try:
-            result = system.run(max_cycles=budget, events=[(cycle, fire)])
+            return injector.run_fault(fault)
         except BoardModelOutcome as resolved:
             return resolved.effect
-        return classify_run(result, golden, system)
 
     # -- campaign ------------------------------------------------------------------
 
@@ -244,26 +249,17 @@ class BeamExperiment:
         rng = random.Random(
             (config.seed << 32) ^ binascii.crc32(workload.name.encode())
         )
-
-        golden = workload.reference_output()
-        warm_boot, golden_run = self._golden_beam_run(workload, golden)
-        budget = int(golden_run.cycles * WATCHDOG_FACTOR) + WATCHDOG_SLACK
-
-        # Checkpoint the warm reference run for fast-forwarded strikes:
-        # replay it from the warm-boot state, snapshotting along the way.
-        snapshot_system = self._beam_system(workload, golden)
-        warm_boot.restore(snapshot_system)
-        step = max(1, golden_run.cycles // 9)
-        snapshots = [warm_boot] + record_snapshots(
-            snapshot_system, [step * (index + 1) for index in range(8)]
-        )
+        image = self._warm_image(workload)
+        # Board-model draws interleave with the strike draws on one RNG, so
+        # strikes run serially, in order, on this one machine.
+        injector = ImageInjector(image, pre_flip=self._os_line_hook(rng))
 
         beam_seconds = config.beam_hours * 3600.0
         result = BeamResult(
             workload_name=workload.name,
             beam_seconds=beam_seconds,
             fluence=facility.fluence(beam_seconds),
-            golden_cycles=golden_run.cycles,
+            golden_cycles=image.golden_cycles,
             natural_years=facility.natural_years(beam_seconds),
         )
 
@@ -273,16 +269,10 @@ class BeamExperiment:
             expected = facility.strike_rate(bits) * beam_seconds
             strikes = sample_poisson(rng, expected)
             for index in range(strikes):
-                effect = self._strike_effect(
-                    workload,
-                    golden,
-                    component,
-                    bit_index=rng.randrange(bits),
-                    cycle=rng.randrange(golden_run.cycles),
-                    budget=budget,
-                    rng=rng,
-                    snapshots=snapshots,
-                )
+                # Draw order (bit, then cycle) is part of the shipped results.
+                bit_index = rng.randrange(bits)
+                fault = Fault(component, bit_index, rng.randrange(image.golden_cycles))
+                effect = self._strike_effect(injector, fault)
                 result.counts[effect] = result.counts.get(effect, 0) + 1
                 result.strikes_simulated += 1
                 if (index + 1) % 10 == 0:
@@ -302,9 +292,7 @@ class BeamExperiment:
         result.platform_strikes = platform_strikes
 
         if use_cache:
-            path = self._cache_path(workload.name)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(result.to_dict(), indent=1))
+            store_cache_entry(self._cache_path(workload.name), result.to_dict())
         return result
 
     def run_suite(

@@ -68,6 +68,8 @@ def poisson_interval(count: int, confidence: float = 0.95) -> tuple[float, float
 
 def sample_poisson(rng: random.Random, mean: float) -> int:
     """Draw a Poisson variate (Knuth for small means, normal for large)."""
+    if not math.isfinite(mean):
+        raise ConfigurationError(f"mean must be finite, got {mean!r}")
     if mean < 0:
         raise ConfigurationError("mean must be non-negative")
     if mean == 0:

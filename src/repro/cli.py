@@ -85,6 +85,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.analysis.avf import avf_breakdown
@@ -485,6 +486,16 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _beam_hours(text: str) -> float:
+    """``--hours`` type: a finite number of hours above zero."""
+    hours = float(text)
+    if not (math.isfinite(hours) and hours > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and above zero, got {text!r}"
+        )
+    return hours
+
+
 def _cmd_beam(args) -> int:
     workload = get_workload(args.benchmark)
     experiment = BeamExperiment(
@@ -805,8 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     beam = sub.add_parser("beam", help="simulated beam campaign")
     beam.add_argument("benchmark")
-    beam.add_argument("--hours", type=float, default=100.0,
-                      help="effective beam hours (default 100)")
+    beam.add_argument("--hours", type=_beam_hours, default=100.0,
+                      help="effective beam hours, finite and above zero "
+                      "(default 100)")
     beam.set_defaults(func=_cmd_beam)
 
     report = sub.add_parser("report", help="regenerate paper tables/figures")

@@ -88,6 +88,28 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
+def load_cache_entry(path: Path, parse: Callable, progress: Callable[[str], None]):
+    """``parse`` of a cached JSON entry, or ``None`` on a miss.
+
+    A truncated or stale file is treated as a miss, but visibly so.
+    """
+    if not path.exists():
+        return None
+    try:
+        return parse(json.loads(path.read_text()))
+    except (ValueError, KeyError, InjectionError):
+        progress(f"cache: ignoring corrupt {path.name}, re-running")
+        return None
+
+
+def store_cache_entry(path: Path, payload: dict) -> None:
+    """Atomically write a cache entry (a killed run never truncates one)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(payload, indent=1))
+    os.replace(tmp, path)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Knobs of one injection campaign."""
@@ -739,15 +761,12 @@ class InjectionCampaign:
         return self.cache_dir / (self.config.cache_key(workload_name) + ".json")
 
     def _load_cached(self, workload_name: str) -> WorkloadResult | None:
-        path = self._cache_path(workload_name)
-        if not path.exists():
-            return None
-        try:
-            result = WorkloadResult.from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, InjectionError):
-            # A truncated or stale file (e.g. a killed campaign before
-            # writes were atomic) is treated as a miss, but visibly so.
-            self._progress(f"cache: ignoring corrupt {path.name}, re-running")
+        result = load_cache_entry(
+            self._cache_path(workload_name),
+            WorkloadResult.from_dict,
+            self._progress,
+        )
+        if result is None:
             return None
         # The cache key spans everything that determines the raw counts -
         # but *confidence* only affects derived margins/intervals, so it is
@@ -758,12 +777,7 @@ class InjectionCampaign:
         return result
 
     def _store(self, result: WorkloadResult) -> None:
-        """Atomically persist a result (a killed run never truncates)."""
-        path = self._cache_path(result.workload_name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(result.to_dict(), indent=1))
-        os.replace(tmp, path)
+        store_cache_entry(self._cache_path(result.workload_name), result.to_dict())
 
     # -- journaling ------------------------------------------------------------
 

@@ -169,6 +169,12 @@ class MachineImage:
     #: (:mod:`repro.observability.golden`); ``None`` unless the campaign
     #: was configured with ``learned_sampling``.
     activity: GoldenActivity | None = None
+    #: Beam protocol (:mod:`repro.beam`): the online check routine, loaded
+    #: with ``golden_output`` in its golden buffer; the kernel's beam mode;
+    #: and the seed of the background-OS steady-state content.
+    check_program: Program | None = None
+    beam_mode: bool = False
+    seed: int = 0
 
     @classmethod
     def capture(
@@ -177,21 +183,12 @@ class MachineImage:
         machine: MachineConfig,
         golden: RunResult,
         snapshots: list[SystemSnapshot] | None = None,
-        cluster_size: int = 1,
-        digests: Mapping[int, bytes] | None = None,
-        early_exit: bool = True,
-        arch_digests: Mapping[int, bytes] | None = None,
-        lifetime: bool = False,
-        trace_on_crash: int = 0,
-        translate: bool = True,
-        cow: bool = True,
-        heat_threshold: int = 16,
-        chain: bool = True,
-        superblocks: bool = True,
-        profile: bool = False,
-        activity: GoldenActivity | None = None,
+        **fields,
     ) -> "MachineImage":
-        """Bundle a workload's golden run into a shippable image."""
+        """Bundle a workload's golden run into a shippable image.
+
+        ``fields`` set any of the other image fields by name.
+        """
         return cls(
             name=workload.name,
             program=workload.program(machine.layout),
@@ -199,20 +196,22 @@ class MachineImage:
             golden_cycles=golden.cycles,
             golden_output=golden.output,
             snapshots=list(snapshots or []),
-            cluster_size=cluster_size,
-            digests=dict(digests or {}),
-            early_exit=early_exit,
-            arch_digests=dict(arch_digests or {}),
-            lifetime=lifetime,
-            trace_on_crash=trace_on_crash,
-            translate=translate,
-            cow=cow,
-            heat_threshold=heat_threshold,
-            chain=chain,
-            superblocks=superblocks,
-            profile=profile,
-            activity=activity,
+            **fields,
         )
+
+
+def boot_system(image: MachineImage) -> System:
+    """Boot a fresh machine loaded the way ``image`` describes."""
+    return System(
+        image.program,
+        config=image.machine,
+        check_program=image.check_program,
+        golden_output=(
+            image.golden_output if image.check_program is not None else None
+        ),
+        beam_mode=image.beam_mode,
+        seed=image.seed,
+    )
 
 
 #: ``InjectionResult.ended_by`` values: simulated to completion, converged
@@ -277,11 +276,21 @@ class ImageInjector:
     applies - which overwrites all mutable machine state and is therefore
     bit-identical to booting a fresh machine (the fidelity tests assert
     this).
+
+    ``pre_flip(target, fault)``, when given, is called inside the flip
+    event before any bit flips, with the struck structure; it may raise to
+    end the run (the beam's board model resolves background-OS line hits
+    this way), and the exception propagates out of :meth:`run_fault`.
     """
 
-    def __init__(self, image: MachineImage):
+    def __init__(
+        self,
+        image: MachineImage,
+        pre_flip: Callable[[object, Fault], None] | None = None,
+    ):
         self.image = image
-        self.system = System(image.program, config=image.machine)
+        self.pre_flip = pre_flip
+        self.system = boot_system(image)
         self.pristine = SystemSnapshot(self.system)
         self.budget = watchdog_budget(image.golden_cycles)
         self.translator = None
@@ -351,8 +360,11 @@ class ImageInjector:
         lifetime = FaultLifetime(system.core) if image.lifetime else None
         tracer = Tracer(image.trace_on_crash) if image.trace_on_crash else None
         uninstall: list = []
+        pre_flip = self.pre_flip
 
         def flip():
+            if pre_flip is not None:
+                pre_flip(target, fault)
             if (
                 early
                 and isinstance(target, Cache)

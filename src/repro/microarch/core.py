@@ -567,13 +567,6 @@ def _decode_slow(word: int):
     return entry
 
 
-def _decode_cached(word: int):
-    entry = _DECODE_CACHE.get(word)
-    if entry is None:
-        entry = _decode_slow(word)
-    return entry
-
-
 class Core:
     """A single simulated CPU core wired to a memory hierarchy."""
 

@@ -78,12 +78,6 @@ class RunResult:
     check_done: bool
 
     @property
-    def exit_status(self) -> int | None:
-        if isinstance(self.outcome, ProgramExit):
-            return self.outcome.status
-        return None
-
-    @property
     def exited_cleanly(self) -> bool:
         return isinstance(self.outcome, ProgramExit) and self.outcome.status == 0
 
@@ -333,17 +327,6 @@ class System:
             sdc_flag=devices.sdc_flag,
             check_done=devices.check_done,
         )
-
-    def state_digest(self) -> bytes:
-        """Canonical digest of all mutable machine state.
-
-        Two systems with equal digests continue bit-identically (see
-        :mod:`repro.microarch.digest`); the early-termination layer of the
-        injection engine compares these against the golden run's digests.
-        """
-        from repro.microarch.digest import system_digest  # avoids a cycle
-
-        return system_digest(self)
 
     # -- post-mortem inspection ------------------------------------------------
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.beam.experiment import BeamCampaignConfig, BeamExperiment, BeamResult
+from repro.errors import ConfigurationError
 from repro.injection.classify import FaultEffect
 from repro.workloads import get_workload
 
@@ -71,6 +73,33 @@ class TestBeamResult:
         assert clone.fit(FaultEffect.SYS_CRASH) == pytest.approx(
             result.fit(FaultEffect.SYS_CRASH)
         )
+
+
+class TestBeamCampaignConfig:
+    @pytest.mark.parametrize("hours", [math.nan, math.inf, -1.0, 0.0])
+    def test_hours_must_be_finite_and_positive(self, hours):
+        with pytest.raises(ConfigurationError, match="beam_hours"):
+            BeamCampaignConfig(beam_hours=hours)
+
+
+class TestBeamCache:
+    def test_truncated_entry_is_rerun_and_reported(self, tmp_path):
+        messages: list[str] = []
+        experiment = BeamExperiment(
+            BeamCampaignConfig(beam_hours=5, seed=0),
+            cache_dir=tmp_path,
+            progress=messages.append,
+        )
+        workload = get_workload("StringSearch")
+        first = experiment.run_workload(workload)
+        (path,) = tmp_path.glob("beam-*.json")
+        path.write_text(path.read_text()[:40])  # a killed write's leftovers
+
+        again = experiment.run_workload(workload)
+        assert again.to_dict() == first.to_dict()
+        assert f"cache: ignoring corrupt {path.name}, re-running" in messages
+        assert json.loads(path.read_text()) == first.to_dict()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 
@@ -64,6 +65,11 @@ class TestPoissonSampler:
     def test_negative_mean_rejected(self):
         with pytest.raises(ConfigurationError):
             sample_poisson(random.Random(1), -1.0)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_mean_rejected(self, mean):
+        with pytest.raises(ConfigurationError):
+            sample_poisson(random.Random(1), mean)
 
     @pytest.mark.parametrize("mean", [0.5, 3.0, 12.0, 80.0])
     def test_sample_mean_converges(self, mean):

@@ -13,6 +13,8 @@ import pytest
 from repro.beam.experiment import BeamCampaignConfig, BeamExperiment
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
+from repro.injection.fault import Fault
+from repro.injection.parallel import ImageInjector, boot_system
 from repro.microarch.system import GOLDEN_DATA_OFFSET
 from repro.workloads import get_workload
 
@@ -24,17 +26,19 @@ def experiment():
 
 @pytest.fixture(scope="module")
 def susan(experiment):
-    workload = get_workload("Susan C")
-    golden = workload.reference_output()
-    warm_boot, warm = experiment._golden_beam_run(workload, golden)
-    return workload, golden, warm_boot, warm
+    """Susan C's warm beam image (checkpoint 0 is the warm boot)."""
+    return experiment._warm_image(get_workload("Susan C"))
 
 
-def strike_line_in_region(experiment, susan, cache_name, region, payload_bit=3):
+def warm_system(image):
+    system = boot_system(image)
+    image.snapshots[0].restore(system)
+    return system
+
+
+def strike_line_in_region(susan, cache_name, region, payload_bit=3):
     """Find a bit of a warm cache line tagged to ``region`` and strike it."""
-    workload, golden, warm_boot, warm = susan
-    system = experiment._beam_system(workload, golden)
-    warm_boot.restore(system)
+    system = warm_system(susan)
     cache = getattr(system, cache_name)
     layout = system.layout
     for bit in range(0, cache.data_bits, cache.line_size * 8):
@@ -45,22 +49,17 @@ def strike_line_in_region(experiment, susan, cache_name, region, payload_bit=3):
 
 
 class TestOSResidencyChannel:
-    def test_warm_l2_holds_os_background_lines(self, experiment, susan):
-        bit = strike_line_in_region(experiment, susan, "l2", "os_background")
+    def test_warm_l2_holds_os_background_lines(self, susan):
+        bit = strike_line_in_region(susan, "l2", "os_background")
         assert bit is not None  # Susan C leaves OS lines resident
 
     def test_os_line_strike_resolved_by_board_model(self, experiment, susan):
-        workload, golden, _boot, warm = susan
-        bit = strike_line_in_region(experiment, susan, "l2", "os_background")
-        rng = random.Random(0)
-        outcomes = {
-            experiment._strike_effect(
-                workload, golden, Component.L2,
-                bit_index=bit, cycle=warm.cycles // 2,
-                budget=warm.cycles * 3, rng=rng,
-            )
-            for _ in range(12)
-        }
+        bit = strike_line_in_region(susan, "l2", "os_background")
+        injector = ImageInjector(
+            susan, pre_flip=experiment._os_line_hook(random.Random(0))
+        )
+        fault = Fault(Component.L2, bit, susan.golden_cycles // 2)
+        outcomes = {experiment._strike_effect(injector, fault) for _ in range(12)}
         # Sampled from the ZEDBOARD os-line distribution: only its classes.
         assert outcomes <= {
             FaultEffect.SYS_CRASH, FaultEffect.APP_CRASH, FaultEffect.MASKED
@@ -69,13 +68,12 @@ class TestOSResidencyChannel:
 
 
 class TestCheckRoutineChannel:
-    def test_corrupt_golden_copy_reports_false_sdc(self, experiment, susan):
+    def test_corrupt_golden_copy_reports_false_sdc(self, susan):
         """A strike on the in-memory golden data makes the online check
         disagree with a *correct* output - logged as SDC, an artifact the
         beam protocol genuinely has."""
-        workload, golden, warm_boot, warm = susan
-        system = experiment._beam_system(workload, golden)
-        warm_boot.restore(system)
+        system = warm_system(susan)
+        cycles = susan.golden_cycles
         golden_addr = system.layout.golden_buffer_base + GOLDEN_DATA_OFFSET
 
         def corrupt_golden():
@@ -84,16 +82,15 @@ class TestCheckRoutineChannel:
             system.l2.invalidate_all()
 
         result = system.run(
-            max_cycles=warm.cycles * 3 + 100_000,
-            events=[(warm.cycles // 2, corrupt_golden)],
+            max_cycles=cycles * 3 + 100_000,
+            events=[(cycles // 2, corrupt_golden)],
         )
         assert result.exited_cleanly
         assert result.sdc_flag  # the check fired on a clean output
 
-    def test_corrupt_check_code_crashes_the_check(self, experiment, susan):
-        workload, golden, warm_boot, warm = susan
-        system = experiment._beam_system(workload, golden)
-        warm_boot.restore(system)
+    def test_corrupt_check_code_crashes_the_check(self, susan):
+        system = warm_system(susan)
+        cycles = susan.golden_cycles
         check_entry = system.layout.check_text_base
 
         def corrupt_check():
@@ -103,8 +100,8 @@ class TestCheckRoutineChannel:
             system.l2.invalidate_all()
 
         result = system.run(
-            max_cycles=warm.cycles * 3 + 100_000,
-            events=[(warm.cycles // 2, corrupt_check)],
+            max_cycles=cycles * 3 + 100_000,
+            events=[(cycles // 2, corrupt_check)],
         )
         from repro.errors import ApplicationAbort
 

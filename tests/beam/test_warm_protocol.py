@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.beam.experiment import BeamCampaignConfig, BeamExperiment
+from repro.injection.parallel import boot_system
 from repro.microarch.snapshot import SystemSnapshot
 from repro.workloads import get_workload
 
@@ -18,8 +19,9 @@ def experiment():
 def warm_state(request, experiment):
     workload = get_workload(request.param)
     golden = workload.reference_output()
-    warm_boot, warm_result = experiment._golden_beam_run(workload, golden)
-    return workload, golden, warm_boot, warm_result
+    image = experiment._beam_image(workload, golden)
+    _system, warm_boot, warm_result = experiment._golden_beam_run(image)
+    return image, golden, warm_boot, warm_result
 
 
 class TestWarmGolden:
@@ -33,28 +35,28 @@ class TestWarmGolden:
         _w, _golden, warm_boot, _warm = warm_state
         assert warm_boot.cycle == 0
 
-    def test_warm_boot_replays_identically(self, warm_state, experiment):
-        workload, golden, warm_boot, warm = warm_state
-        system = experiment._beam_system(workload, golden)
+    def test_warm_boot_replays_identically(self, warm_state):
+        image, golden, warm_boot, warm = warm_state
+        system = boot_system(image)
         warm_boot.restore(system)
         replay = system.run(max_cycles=warm.cycles * 3 + 100_000)
         assert replay.exited_cleanly
         assert replay.output == golden
         assert replay.cycles == warm.cycles
 
-    def test_warm_run_not_slower_than_twice_cold(self, warm_state, experiment):
+    def test_warm_run_not_slower_than_twice_cold(self, warm_state):
         """Guards against pathological warm-state behaviour (e.g. the
         quicksort sorted-input worst case this protocol once exposed)."""
-        workload, golden, _boot, warm = warm_state
-        cold_system = experiment._beam_system(workload, golden)
+        image, _golden, _boot, warm = warm_state
+        cold_system = boot_system(image)
         cold = cold_system.run(max_cycles=200_000_000)
         assert warm.cycles < cold.cycles * 2
 
-    def test_steady_state_differs_from_cold_boot(self, warm_state, experiment):
+    def test_steady_state_differs_from_cold_boot(self, warm_state):
         """The warm machine's cache content reflects the workload, not
         (only) the prefill: a fresh beam system differs from the warm boot."""
-        workload, golden, warm_boot, _warm = warm_state
-        fresh = experiment._beam_system(workload, golden)
+        image, _golden, warm_boot, _warm = warm_state
+        fresh = boot_system(image)
         fresh_snapshot = SystemSnapshot(fresh)
         warm_l2 = warm_boot._caches["l2"].lines
         fresh_l2 = fresh_snapshot._caches["l2"].lines

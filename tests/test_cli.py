@@ -20,6 +20,14 @@ class TestParser:
         args = build_parser().parse_args(["beam", "CRC32", "--hours", "12"])
         assert args.hours == 12.0
 
+    @pytest.mark.parametrize("hours", ["nan", "inf", "-1", "0"])
+    def test_beam_hours_must_be_finite_and_positive(self, hours, capsys):
+        """Rejected at parse time (exit 2), before any warm-up runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["beam", "CRC32", f"--hours={hours}"])
+        assert exit_info.value.code == 2
+        assert "finite and above zero" in capsys.readouterr().err
+
     def test_report_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "fig99"])
