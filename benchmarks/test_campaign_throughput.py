@@ -105,7 +105,7 @@ def test_lifetime_event_overhead(benchmark):
     isolates the cost of the event collection itself, interpreter vs
     interpreter.  (The translated engine's behavior under armed probes -
     probe-replaying variants for data-side taint, wrapped variants for
-    regfile taint, forced interpretation for fetch-side taint - is
+    regfile taint, per-block guards for fetch-side taint - is
     measured separately by
     ``test_lifetime_campaign_translation_speedup``.)
     """
@@ -167,23 +167,28 @@ def test_lifetime_event_overhead(benchmark):
 
 #: Translated-vs-interpreter floor for a lifetime-event campaign.  Taint
 #: probes used to force full interpretation; probe-replaying variants
-#: (data-side taint) and wrapped variants (regfile taint) keep the
-#: translated speedup with events on.  Conservative: same-box
-#: measurements run well above this (~4x).
+#: (data-side taint), wrapped variants (regfile taint) and per-block
+#: fetch-taint guards (ITLB/L1I) keep the translated speedup with events
+#: on.  Conservative: same-box measurements run well above this.
 LIFETIME_SPEEDUP_BAR = 3.0
+#: The lifetime campaign covers every component: each arms its own probe
+#: kind, and the default ``repro inject`` arms all six.
+LIFETIME_COMPONENTS = tuple(Component)
 
 
 def test_lifetime_campaign_translation_speedup(benchmark):
     """Translation must keep >= 3x throughput with lifetime events on.
 
     The same mini-campaign (lifetime events armed, early exit on) runs
-    once on the translated engine and once interpreter-only.  Every
-    injection arms taint probes for its component: L1D and DTLB faults
-    exercise the probe-replaying translated variants, REGFILE faults the
-    wrapped variants (register accesses routed through the taint
-    wrapper's subscripts).  Effects and the recorded lifetime-event
-    streams must be byte-identical - the speedup may never cost
-    observation fidelity.
+    once on the translated engine and once interpreter-only, over all
+    six components.  Every injection arms taint probes for its
+    component: L1D and DTLB faults exercise the probe-replaying
+    translated variants, L2 faults the interpreter fallbacks that fire
+    its probe, REGFILE faults the wrapped variants (register accesses
+    routed through the taint wrapper's subscripts), ITLB and L1I faults
+    the per-block fetch-taint guards.  Effects and the recorded
+    lifetime-event streams must be byte-identical - the speedup may
+    never cost observation fidelity.
     """
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
@@ -198,7 +203,7 @@ def test_lifetime_campaign_translation_speedup(benchmark):
             count=FAULTS_PER_COMPONENT,
             seed=9,
         )
-        for component in COMPONENTS
+        for component in LIFETIME_COMPONENTS
     }
 
     def capture(translate: bool) -> MachineImage:

@@ -109,8 +109,9 @@ def test_taint_on_translator_equivalence():
 
     CRC32 with fault-lifetime events and crash traces on, faults spread
     across the translator's three taint regimes - REGFILE (wrapped
-    variants), L1D (probe-replaying variants), L1I (fetch-side forced
-    interpretation).  The diff must be empty on classifications, on the
+    variants), L1D (probe-replaying variants), L1I and ITLB (per-block
+    fetch-taint guards that refuse only blocks which would fetch a
+    tainted cell).  The diff must be empty on classifications, on the
     journaled lifetime-event streams and crash traces, and on the
     per-component masking-mechanism histogram computed from the events -
     the analysis-facing numbers a campaign actually reports.
@@ -128,7 +129,9 @@ def test_taint_on_translator_equivalence():
             count=8,
             seed=11,
         )
-        for component in (Component.REGFILE, Component.L1D, Component.L1I)
+        for component in (
+            Component.REGFILE, Component.L1D, Component.L1I, Component.ITLB
+        )
     }
 
     def run(translate: bool):

@@ -13,7 +13,9 @@ about a campaign's execution engine that throughput numbers alone cannot:
   :class:`~repro.microarch.translate.BlockTranslator` counters: blocks and
   superblocks compiled, dispatcher entries, chained block-to-block
   transfers, superblock loop iterations (compiled in only under
-  ``profile=True``), guard failures/evictions, and the refusal histogram
+  ``profile=True``), guard failures/evictions, fetch-side taint
+  refusals (block entries handed to the interpreter because they would
+  fetch a tainted ITLB entry or L1I byte), and the refusal histogram
   (why regions were *not* translated - the fallback-reasons table of
   ``docs/PERFORMANCE.md`` in live form).
 
@@ -81,6 +83,7 @@ def translator_stats(translator) -> dict:
         "chain_hits": translator.chain_hits,
         "superblock_iterations": translator.stats["superblock_iterations"],
         "guard_failures": translator.guard_failures,
+        "taint_refusals": translator.taint_refusals,
         "evictions": translator.evictions,
         "refusals": dict(
             sorted(
@@ -169,6 +172,7 @@ def format_profile(profile: dict, top: int = 12) -> str:
             f"                   superblock iterations "
             f"{stats['superblock_iterations']:,}, "
             f"guard failures {stats['guard_failures']:,}, "
+            f"taint refusals {stats['taint_refusals']:,}, "
             f"evictions {stats['evictions']:,}"
         )
         if stats["refusals"]:

@@ -28,9 +28,17 @@ A translated block is **bit-exact** with the interpreter by construction:
   bytes) is evicted and re-translated from the bytes now resident, so
   post-flip execution still runs compiled; translating corrupted-but-
   decodable code is exactly as valid as interpreting it.
-- Fetch-side observability (ITLB/L1I taint probes) still forces
-  interpretation.  Data-side probes (DTLB, L1D, L2, memory) no longer
-  do: the inline DTLB/L1D fast paths replay
+- Fetch-side observability (ITLB/L1I taint probes) is checked per
+  block: the entry guard asks the armed probe whether *this* block's
+  ITLB entry or any of *its* guarded L1I byte ranges could still record
+  an event, and only then refuses - with ``None``, which the dispatcher
+  counts as a taint refusal, not a guard failure, so a tainted page
+  never compiles doomed variants.  The interpreter then fires the probe
+  at the exact fetch.  Every other block runs translated: its fetches
+  would only have made no-op probe calls, it cannot fill or flush the
+  fetch side, and tainted sets only grow at flip time (an event
+  boundary).  Data-side probes (DTLB, L1D, L2, memory) never refuse:
+  the inline DTLB/L1D fast paths replay
   ``on_lookup``/``on_read``/``on_write`` notifications at exactly the
   interpreter's call sites, flushing the batched cycle counter first so
   lifetime events carry identical stamps; interpreter fallbacks
@@ -211,6 +219,9 @@ class BlockTranslator:
         self.block_runs = 0
         self.chain_hits = 0
         self.guard_failures = 0
+        #: Block entries refused for fetch-side (ITLB/L1I) taint; counted
+        #: apart from guard failures because they compile nothing.
+        self.taint_refusals = 0
         self.evictions = 0
         #: Instructions retired inside translated blocks, accumulated
         #: across snapshot restores (core.icount is rolled back by them).
@@ -228,17 +239,9 @@ class BlockTranslator:
         run loop then re-checks events/timer/watchdog), ``False`` when the
         caller must interpret the next instruction itself.  With chaining
         enabled the dispatcher keeps running successor blocks until the
-        budget is spent, a guard fails, or the next pc is cold.
+        budget is spent, a guard fails, a block refuses for fetch-side
+        taint, or the next pc is cold.
         """
-        if core.l1i.probe is not None or core.itlb.probe is not None:
-            # Fetch-side probes force interpretation: entry guards read
-            # ITLB entries and L1I lines directly, and the batched fetch
-            # clocks cannot replay per-fetch probe events.  Checked here
-            # so probed runs do not masquerade as guard failures and
-            # churn the variant compiler.  Data-side probes and wrapped
-            # (regfile-tainted) register lists, by contrast, are handled
-            # by compiling probe-replaying variants.
-            return False
         mode = core.mode
         blocks = (
             self._kernel_blocks if mode is Mode.KERNEL else self._user_blocks
@@ -269,17 +272,19 @@ class BlockTranslator:
                 blocks[pc] = variants
             elif variants is _NEVER:
                 return executed
-            ran = False
             icount0 = core.icount
             for which, fn in enumerate(variants):
-                if fn(limit):
+                # True: ran; False: guard failed; None: taint refusal.
+                ran = fn(limit)
+                if ran:
                     if which:
                         # MRU order: the variant matching the resident
                         # bytes (pristine after a restore, corrupted after
                         # a flip) wins every dispatch until the next flip.
                         variants.pop(which)
                         variants.insert(0, fn)
-                    ran = True
+                    break
+                if ran is None:
                     break
             if ran:
                 executed = True
@@ -294,6 +299,14 @@ class BlockTranslator:
                     self.chain_hits += 1
                     continue
                 return True
+            if ran is None:
+                # Fetch-side taint: this block would fetch a tainted ITLB
+                # entry or L1I byte whose read is not yet recorded.  The
+                # interpreter fires that probe at the exact fetch.  Not a
+                # guard failure: the bytes may well match, and compiling
+                # another variant of them would refuse just the same.
+                self.taint_refusals += 1
+                return executed
             # Every variant's guard failed (the callers guarantee
             # cycle < limit and guards change no state): the resident
             # bytes match none of the compiled versions - an injected
@@ -881,12 +894,19 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
             "if type(int_regs) is not list:",
             "    return False",
         )
+    # Fetch-side taint refuses with None, not False: the dispatcher sends
+    # the run to the interpreter (which fires the probe at the exact
+    # fetch) without counting a guard failure.  Only this block's own
+    # ITLB entry and L1I byte ranges are asked about - every fetch in
+    # the block hits exactly those, and a block can neither fill nor
+    # flush the fetch side.
     out.emit(
-        "if itlb.probe is not None or l1i.probe is not None:",
-        "    return False",
         f"e = itlb_map.get({vpn})",
         f"if e is None or not e.valid or e.vpn != {vpn}:",
         "    return False",
+        "itp = itlb.probe",
+        "if itp is not None and itp.observes(itlb, e):",
+        "    return None",
         "p = e.perms",
         f"if p & {need} != {need}:",
         "    return False",
@@ -907,11 +927,15 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
         f"base = e.ppn << {PAGE_SHIFT}",
         f"if base + {last_byte} >= {core.layout.memory_size}:",
         "    return False",
+        "ifp = l1i.probe",
     )
     # All L1I line guards are hoisted here: the block body cannot evict or
     # rewrite L1I lines or the ITLB entry (data accesses use separate
     # arrays and never invalidate the fetch side), so one entry check
-    # covers every iteration of every in-block loop.
+    # covers every iteration of every in-block loop.  The taint query
+    # comes before the byte compare, so code bytes an L1I flip corrupted
+    # refuse as taint rather than fail the guard and churn the variant
+    # compiler.
     for index, (offset, first, last, _expected) in enumerate(groups):
         out.emit(
             f"tag = (base + {offset}) >> {l1i._offset_bits}",
@@ -920,7 +944,11 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
             "    if _L.valid and _L.tag == tag:",
             f"        g{index} = _L",
             "        break",
-            f"if g{index} is None or g{index}.data[{first}:{last}] != X{index}:",
+            f"if g{index} is None:",
+            "    return False",
+            f"if ifp is not None and ifp.observes(l1i, g{index}, {first}, {last}):",
+            "    return None",
+            f"if g{index}.data[{first}:{last}] != X{index}:",
             "    return False",
         )
     if not ctx.wrapped:

@@ -89,6 +89,11 @@ class FaultLifetime:
     def seen(self, kind: str) -> bool:
         return kind in self._kinds
 
+    def records(self, kind: str, detail: str = "") -> bool:
+        """Whether :meth:`event` with these arguments would record anything
+        (it is a no-op once the pair was recorded or the limit is hit)."""
+        return (kind, detail) not in self._seen and len(self._events) < self._limit
+
     @property
     def events(self) -> list[LifetimeEvent]:
         return self._events

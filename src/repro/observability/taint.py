@@ -15,10 +15,17 @@ The hook seams live in the components themselves (``Cache.probe``,
 
 The basic-block translator (:mod:`repro.microarch.translate`) honours
 the same seams, splitting them by side.  *Fetch-side* probes (L1I,
-ITLB) force interpretation: the dispatcher short-circuits while they
-are armed, because entry guards read ITLB entries and L1I lines
-directly.  *Data-side* probes (DTLB, L1D - and transitively L2/memory,
-whose notifications only fire from interpreter fallbacks) are
+ITLB) are answered per block: a block's entry guard asks the probe's
+``observes`` query about its own ITLB entry and its own guarded L1I
+byte ranges, and refuses - sending execution to the interpreter, which
+fires the probe at the exact fetch - only while one of those fetches
+could still record an event (a tainted cell whose read is not yet
+recorded).  Every fetch inside a block hits that one entry and those
+lines, a block can neither fill nor flush the ITLB or L1I, and tainted
+sets only grow at flip time - an event boundary - so an untainted
+block would only have made no-op probe calls and the guard is exact.
+*Data-side* probes (DTLB, L1D - and transitively L2/memory, whose
+notifications only fire from interpreter fallbacks) are
 compatible with translation: blocks compiled while they are armed
 replay every ``on_lookup`` / ``on_read`` / ``on_write`` notification
 inline, flushing ``core.cycle`` first so probe events carry the exact
@@ -69,6 +76,16 @@ class CacheTaintProbe:
         set_index, way, byte, _bit = cache.locate_bit(bit_index)
         line = cache.sets[set_index][way]
         self.cells.setdefault(line, set()).add(byte)
+
+    def observes(self, cache, line, first: int, last: int) -> bool:
+        """Whether reading bytes ``[first, last)`` of ``line`` could still
+        record an event (a translated block's fetch-side guard asks)."""
+        offsets = self.cells.get(line)
+        return (
+            bool(offsets)
+            and any(first <= byte < last for byte in offsets)
+            and self.lifetime.records(EV_READ, cache.name)
+        )
 
     # -- hook methods (called from the cache's guarded hook sites) -----------
 
@@ -150,6 +167,11 @@ class TLBTaintProbe:
         if bit < PERM_FIELD.stop:
             # Flips beyond the modeled fields change no machine state.
             self.entries.add(tlb.entries[bit_index // entry_bits])
+
+    def observes(self, tlb, entry) -> bool:
+        """Whether a lookup hitting ``entry`` could still record an event
+        (a translated block's fetch-side guard asks)."""
+        return entry in self.entries and self.lifetime.records(EV_READ, tlb.name)
 
     def on_lookup(self, tlb, entry) -> None:
         if entry in self.entries:
@@ -307,6 +329,10 @@ def install_taint(system, component: Component, bits, lifetime: FaultLifetime):
         probe = TLBTaintProbe(lifetime)
         for bit in bits:
             probe.taint_bit(tlb, bit)
+        if not probe.entries:
+            # Every flip landed in the unmodelled attribute bits: an armed
+            # probe could never record an event, only slow the run down.
+            return lambda: None
         tlb.probe = probe
 
         def uninstall() -> None:

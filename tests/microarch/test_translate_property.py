@@ -16,15 +16,20 @@ Three program/machine shapes are covered:
 - nested loops with FLD/FST double-word traffic - taken backward
   branches inside a translated region are exactly what loop superblocks
   chain across, and the fp paths ride the double-word inline fast path;
-- data-side taint armed mid-run (a real bit flipped into L1D / L2 /
-  DTLB / REGFILE plus the taint probes a lifetime-event campaign
-  installs): the translated engine must replay probe notifications
+- taint armed mid-run (a real bit flipped into any of the six
+  components plus the taint probes a lifetime-event campaign installs):
+  the translated engine must replay data-side probe notifications
   bit-identically, down to the cycle stamps in the lifetime-event
-  stream.
+  stream, and fetch-side (ITLB / L1I) taint must refuse exactly the
+  blocks that would fetch it.  Random bits rarely hit live code, so an
+  *aimed* variant flips the live ITLB entry of the code page or the L1I
+  line at the current pc, which is what makes the per-block fetch-taint
+  guard actually refuse.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.injection.components import (
@@ -33,12 +38,14 @@ from repro.injection.components import (
     component_target,
 )
 from repro.isa.assembler import Assembler
-from repro.kernel.layout import DEFAULT_LAYOUT
+from repro.kernel.layout import DEFAULT_LAYOUT, PAGE_SHIFT
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.microarch.digest import arch_digest, system_digest
+from repro.microarch.profile import execution_profile, format_profile
 from repro.microarch.system import PerfCounters, System
+from repro.microarch.tlb import PERM_FIELD, PPN_FIELD
 from repro.microarch.translate import attach_translator
-from repro.observability.events import EV_FLIP, FaultLifetime
+from repro.observability.events import EV_FLIP, EV_READ, FaultLifetime, first_event
 from repro.observability.taint import install_taint
 
 #: r0-r9 are scratch; r10 is the loop counter, r11 the data-buffer base.
@@ -192,13 +199,16 @@ def _nested_program(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run(source: str, translate: bool):
+def _assemble(source: str):
     assembler = Assembler(
         text_base=DEFAULT_LAYOUT.user_text_base,
         data_base=DEFAULT_LAYOUT.user_data_base,
     )
-    program = assembler.assemble(source, entry="_start")
-    system = System(program, config=SCALED_A9_CONFIG)
+    return assembler.assemble(source, entry="_start")
+
+
+def _run(source: str, translate: bool):
+    system = System(_assemble(source), config=SCALED_A9_CONFIG)
     if translate:
         assert attach_translator(system) is not None
     result = system.run(max_cycles=500_000)
@@ -248,29 +258,70 @@ def test_translator_is_invisible_on_nested_loops(source):
     )
 
 
-#: Data-side components a lifetime-event campaign arms taint probes on.
+#: Every component a lifetime-event campaign arms taint probes on.
 TAINTABLE = (
     Component.L1D,
     Component.L2,
     Component.DTLB,
     Component.REGFILE,
+    Component.ITLB,
+    Component.L1I,
 )
 
 
-def _run_tainted(source, translate, component, bit_seed, flip_cycle):
-    """One run with a mid-flight flip + taint probes, injector-style."""
-    assembler = Assembler(
-        text_base=DEFAULT_LAYOUT.user_text_base,
-        data_base=DEFAULT_LAYOUT.user_data_base,
+def _aimed_bit(system, component, aim):
+    """A bit of the code page's live ITLB entry (PPN or permission
+    field) or of the L1I line holding the current pc; ``None`` when the
+    pc has no resident entry or line to aim at."""
+    core = system.core
+    entry = core.itlb._map.get(core.pc >> PAGE_SHIFT)
+    if entry is None or not entry.valid:
+        return None
+    if component is Component.ITLB:
+        field = PPN_FIELD if aim % 2 else PERM_FIELD
+        index = core.itlb.entries.index(entry)
+        return index * core.itlb.geometry.entry_bits + field[aim // 2 % len(field)]
+    l1i = core.l1i
+    paddr = (entry.ppn << PAGE_SHIFT) | (core.pc & ((1 << PAGE_SHIFT) - 1))
+    set_index = (paddr >> l1i._offset_bits) & l1i._set_mask
+    tag = paddr >> l1i._offset_bits
+    for way, line in enumerate(l1i.sets[set_index]):
+        if line.valid and line.tag == tag:
+            byte = aim // 8 % l1i.line_size
+            return ((set_index * l1i.assoc + way) * l1i.line_size + byte) * 8 + aim % 8
+    return None
+
+
+def _arrivals(source, label):
+    """Cycles at which an interpreter-only run is about to execute
+    ``label``.  A flip event at one of them fires exactly there, so the
+    first post-flip dispatch meets the block compiled at ``label``."""
+    program = _assemble(source)
+    head = program.symbols[label]
+    cycles = []
+    System(program, config=SCALED_A9_CONFIG).run(
+        max_cycles=500_000,
+        trace=lambda core: cycles.append(core.cycle) if core.pc == head else None,
     )
-    program = assembler.assemble(source, entry="_start")
-    system = System(program, config=SCALED_A9_CONFIG)
+    return cycles
+
+
+def _run_tainted(source, translate, component, bit_seed, flip_cycle, aim=None):
+    """One run with a mid-flight flip + taint probes, injector-style.
+
+    With ``aim`` set, the flipped bit is chosen at flip time by
+    :func:`_aimed_bit` (falling back to ``bit_seed`` when there is
+    nothing to aim at).
+    """
+    system = System(_assemble(source), config=SCALED_A9_CONFIG)
     if translate:
         assert attach_translator(system) is not None
     lifetime = FaultLifetime(system.core)
-    bit = bit_seed % component_bits(SCALED_A9_CONFIG, component)
 
     def flip():
+        bit = None if aim is None else _aimed_bit(system, component, aim)
+        if bit is None:
+            bit = bit_seed % component_bits(SCALED_A9_CONFIG, component)
         component_target(system, component).flip_bit(bit)
         lifetime.event(EV_FLIP, component.name)
         install_taint(system, component, [bit], lifetime)
@@ -293,3 +344,73 @@ def test_translator_is_invisible_under_data_taint(
     trans = _run_tainted(source, True, component, bit_seed, flip_cycle)
     _assert_indistinguishable(interp[:2], trans[:2])
     assert trans[2] == interp[2], "lifetime-event streams differ"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=_nested_program(),
+    component=st.sampled_from((Component.ITLB, Component.L1I)),
+    aim=st.integers(0, 2**16),
+    when=st.integers(0, 2**16),
+)
+def test_translator_is_invisible_under_aimed_fetch_taint(
+    source, component, aim, when
+):
+    """Flip the fetch side under the inner loop's compiled superblock -
+    at an arrival late enough that the block exists - so its entry guard
+    decides between running translated and refusing for taint."""
+    arrivals = _arrivals(source, "inner")
+    late = arrivals[len(arrivals) // 2 :]
+    flip_cycle = late[when % len(late)]
+    interp = _run_tainted(source, False, component, aim, flip_cycle, aim=aim)
+    trans = _run_tainted(source, True, component, aim, flip_cycle, aim=aim)
+    _assert_indistinguishable(interp[:2], trans[:2])
+    assert trans[2] == interp[2], "lifetime-event streams differ"
+
+
+#: A hot loop long enough that its superblock is compiled and running
+#: when the flip lands mid-loop.
+_HOT_LOOP = """\
+_start:
+    la   r11, buf
+    movi r10, 400
+loop:
+    ldw  r1, [r11, 0]
+    addi r1, r1, 3
+    stw  r1, [r11, 0]
+    eor  r2, r2, r1
+    subi r10, r10, 1
+    cmpi r10, 0
+    bne  loop
+    movi r0, 0
+    movi r7, 0
+    syscall
+    .data
+buf: .space 256
+"""
+
+
+@pytest.mark.parametrize(
+    # Odd aims pick the PPN field, even ones the permission field; bit
+    # 2 of it is PTE_WRITE, which a fetch never checks.
+    "aim", [1, 2 * 2], ids=["ppn", "perm-write"]
+)
+def test_code_page_itlb_flip_refuses_as_taint_not_guard_failure(aim):
+    """A flip of the code page's ITLB entry while the loop runs: the
+    loop superblock's guard refuses as taint, the interpreter stamps the
+    read at its exact cycle, and no variant is evicted for it.  A
+    write-permission flip passes every other guard check, so only the
+    taint query keeps the read from being skipped."""
+    flip_cycle = next(c for c in _arrivals(_HOT_LOOP, "loop") if c >= 2000)
+    interp = _run_tainted(_HOT_LOOP, False, Component.ITLB, 0, flip_cycle, aim=aim)
+    trans = _run_tainted(_HOT_LOOP, True, Component.ITLB, 0, flip_cycle, aim=aim)
+    _assert_indistinguishable(interp[:2], trans[:2])
+    assert trans[2] == interp[2], "lifetime-event streams differ"
+    read = first_event(interp[2], EV_READ)
+    assert read is not None and read.detail == "ITLB"
+    assert first_event(trans[2], EV_READ).cycle == read.cycle
+    profile = execution_profile(trans[0].core)
+    stats = profile["translator"]
+    assert stats["taint_refusals"] > 0
+    assert stats["evictions"] == 0
+    assert f"taint refusals {stats['taint_refusals']:,}" in format_profile(profile)

@@ -8,13 +8,20 @@ untouched (the regfile wrapper regression pins the latter).
 
 from __future__ import annotations
 
+from repro.injection.components import Component
+from repro.isa.assembler import Assembler
+from repro.kernel.layout import DEFAULT_LAYOUT
 from repro.microarch.cache import Cache
-from repro.microarch.config import CacheGeometry, TLBGeometry
+from repro.microarch.config import SCALED_A9_CONFIG, CacheGeometry, TLBGeometry
+from repro.microarch.digest import system_digest
 from repro.microarch.memory import MainMemory
 from repro.microarch.regfile import INT_REG_BITS, PhysRegFile
+from repro.microarch.system import System
 from repro.microarch.tlb import PERM_FIELD, PPN_FIELD, TLB
+from repro.microarch.translate import attach_translator
 from repro.observability.events import (
     EV_EVICT,
+    EV_FLIP,
     EV_READ,
     EV_WRITE_OVER,
     EV_WRITEBACK,
@@ -25,6 +32,7 @@ from repro.observability.taint import (
     MemoryTaintProbe,
     RegfileTaintProbe,
     TLBTaintProbe,
+    install_taint,
 )
 
 
@@ -182,6 +190,25 @@ class TestTLBProbe:
         tlb.lookup(0x5)
         assert kinds(lifetime) == []
 
+    def test_observes_a_tainted_entry_until_its_read_is_recorded(self):
+        """The translator's guard query: only a tainted entry whose read
+        is still unrecorded needs the interpreter's lookup."""
+        tlb = self.make_tlb()
+        tainted = tlb.fill(0x10, 0x20, 0x7)
+        clean = tlb.fill(0x11, 0x21, 0x7)
+        lifetime = make_lifetime()
+        probe = TLBTaintProbe(lifetime)
+        probe.taint_bit(
+            tlb, tlb.entries.index(tainted) * tlb.geometry.entry_bits
+            + PPN_FIELD.start
+        )
+        tlb.probe = probe
+        assert probe.observes(tlb, tainted)
+        assert not probe.observes(tlb, clean)
+        tlb.lookup(0x10)
+        assert kinds(lifetime) == [EV_READ]
+        assert not probe.observes(tlb, tainted)
+
 
 class TestCacheProbe:
     def test_read_reports_only_spans_covering_the_taint(self):
@@ -197,6 +224,20 @@ class TestCacheProbe:
         assert [e.to_payload()[::2] for e in lifetime.events] == [
             (EV_READ, "l1d")
         ]
+
+    def test_observes_only_unread_tainted_bytes_in_range(self):
+        cache, _memory = make_hierarchy()
+        cache.read(0x40, 4)
+        lifetime = make_lifetime()
+        probe = CacheTaintProbe(lifetime, set())
+        cache.probe = probe
+        taint_cache_byte(probe, cache, 0x42)
+        line = next(iter(probe.cells))
+        assert probe.observes(cache, line, 0, 4)
+        assert not probe.observes(cache, line, 4, 8)
+        cache.read(0x40, 4)
+        assert kinds(lifetime) == [EV_READ]
+        assert not probe.observes(cache, line, 0, 4)
 
     def test_write_over_clears_the_taint(self):
         cache, _memory = make_hierarchy()
@@ -283,3 +324,60 @@ class TestMemoryProbe:
         memory.write_block(0, b"\x00" * 16)
         assert kinds(lifetime) == [EV_READ, EV_WRITE_OVER]
         assert not probe.cells
+
+
+#: A load loop: every iteration looks its data page up in the DTLB.
+_LOAD_LOOP = """\
+_start:
+    la   r11, buf
+    movi r10, 200
+loop:
+    ldw  r1, [r11, 0]
+    addi r1, r1, 1
+    stw  r1, [r11, 0]
+    subi r10, r10, 1
+    cmpi r10, 0
+    bne  loop
+    movi r0, 0
+    movi r7, 0
+    syscall
+    .data
+buf: .space 64
+"""
+
+
+class TestInstallTaint:
+    def _run(self, arm_empty_probe: bool):
+        """Flip attribute bit 100 of the valid DTLB entry mid-loop."""
+        program = Assembler(
+            text_base=DEFAULT_LAYOUT.user_text_base,
+            data_base=DEFAULT_LAYOUT.user_data_base,
+        ).assemble(_LOAD_LOOP, entry="_start")
+        system = System(program, config=SCALED_A9_CONFIG)
+        attach_translator(system)
+        lifetime = FaultLifetime(system.core)
+        dtlb = system.dtlb
+        armed = []
+
+        def flip():
+            index = next(i for i, e in enumerate(dtlb.entries) if e.valid)
+            bit = index * dtlb.geometry.entry_bits + 100
+            dtlb.flip_bit(bit)
+            lifetime.event(EV_FLIP, Component.DTLB.name)
+            install_taint(system, Component.DTLB, [bit], lifetime)
+            armed.append(dtlb.probe)
+            if arm_empty_probe:
+                # Reference run: an armed probe that taints no entry.
+                dtlb.probe = TLBTaintProbe(lifetime)
+
+        result = system.run(max_cycles=500_000, events=[(1500, flip)])
+        return armed[0], lifetime.to_payload(), result.cycles, system_digest(system)
+
+    def test_attribute_only_tlb_flip_arms_no_probe(self):
+        probe, events, cycles, digest = self._run(arm_empty_probe=False)
+        assert probe is None
+        _, armed_events, armed_cycles, armed_digest = self._run(
+            arm_empty_probe=True
+        )
+        assert events == armed_events
+        assert (cycles, digest) == (armed_cycles, armed_digest)
