@@ -66,7 +66,6 @@ def test_campaign_throughput_serial_vs_parallel(benchmark):
     speedup = serial_seconds / parallel_seconds
     benchmark.extra_info["injections"] = total
     benchmark.extra_info["translate"] = image.translate
-    benchmark.extra_info["cow_images"] = image.cow
     benchmark.extra_info["serial_inj_per_sec"] = round(total / serial_seconds, 2)
     benchmark.extra_info["parallel_jobs"] = cores
     benchmark.extra_info["parallel_inj_per_sec"] = round(

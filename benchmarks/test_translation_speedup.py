@@ -1,8 +1,9 @@
 """Basic-block translation + COW images: accelerated vs interpreter-only.
 
 Runs the same seed-deterministic fault plan twice at ``jobs=1`` - once
-with the basic-block trace translator and copy-on-write image restores
-enabled (the default) and once with both disabled (the pre-translation
+on the accelerated engine (basic-block trace translator plus
+copy-on-write image restores, the default) and once on the reference
+engine (interpreter plus full-sweep restores, the pre-translation
 baseline) - on the int-heavy CRC32 workload, asserts the per-fault
 effect lists are byte-identical (translation and COW are result-neutral
 by construction), and requires the accelerated run to sustain at least
@@ -49,11 +50,11 @@ def _build():
     )
     accelerated = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True, translate=True, cow=True,
+        digests=digests, early_exit=True, translate=True,
     )
     baseline = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True, translate=False, cow=False,
+        digests=digests, early_exit=True, translate=False,
     )
     plan = {
         component: generate_faults(

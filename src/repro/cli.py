@@ -24,14 +24,13 @@ Commands
     the provably-sound early Masked terminations (golden-digest
     convergence and dead-cell short-circuits) - the effects are
     bit-identical either way, so the flag exists only for benchmarking
-    and auditing.  ``--no-translate`` and ``--no-cow`` likewise disable
-    the (result-neutral) basic-block translator and copy-on-write
-    restores (``docs/PERFORMANCE.md``); ``--heat-threshold``,
-    ``--no-chain`` and ``--no-superblocks`` tune the translator without
-    changing results, and ``--profile`` prints (and, with ``--metrics``,
-    exports) the execution profile.  ``--no-events`` disables
-    fault-lifetime event
-    recording; ``--trace-on-crash N`` attaches the last N instructions to
+    and auditing.  ``--no-translate`` likewise selects the reference
+    engine - the per-instruction interpreter with full-sweep restores
+    instead of the basic-block translator with copy-on-write restores,
+    results identical (``docs/PERFORMANCE.md``) - and ``--profile``
+    prints (and, with ``--metrics``, exports) the execution profile.
+    ``--no-events`` disables fault-lifetime event recording;
+    ``--trace-on-crash N`` attaches the last N instructions to
     Crash-classified journal records; ``--metrics PATH`` exports the
     telemetry summary as machine-readable JSON
     (:mod:`repro.observability.metrics` schema).  ``--target-margin M``
@@ -132,7 +131,7 @@ def _cmd_run(args) -> int:
         from repro.microarch.profile import enable_op_counts
         from repro.microarch.translate import attach_translator
 
-        # Tracing forces the interpreter loop, so a combined
+        # A traced run bypasses the translator, so a combined
         # --trace --profile run reports everything as interpreted.
         translator = attach_translator(system, profile=True)
         enable_op_counts(system.core)
@@ -209,14 +208,9 @@ def _cmd_inject(args) -> int:
         injection_timeout=args.timeout,
         max_retries=args.retries,
         early_exit=not args.no_early_exit,
-        digest_probes=args.digest_probes,
         lifetime_events=not args.no_events,
         trace_on_crash=args.trace_on_crash,
         translate=not args.no_translate,
-        cow_images=not args.no_cow,
-        heat_threshold=args.heat_threshold,
-        chain=not args.no_chain,
-        superblocks=not args.no_superblocks,
         profile=args.profile,
         target_margin=args.target_margin,
         batch_size=args.batch_size,
@@ -582,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("benchmark")
     run.add_argument("--trace", type=int, default=0, metavar="N",
                      help="keep a bounded instruction trace and print the "
-                     "last N instructions after the run (slower: forces "
-                     "the non-optimized interpreter loop)")
+                     "last N instructions after the run (a traced run "
+                     "bypasses the block translator)")
     run.add_argument("--profile", action="store_true",
                      help="run through the block translator with profiling "
                      "armed and print the execution profile: interpreted "
@@ -616,32 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable early Masked termination (digest "
                         "convergence + dead-cell short-circuit); effects "
                         "are bit-identical either way")
-    inject.add_argument("--digest-probes", type=int, default=24,
-                        metavar="N",
-                        help="evenly spaced golden-state digest probes "
-                        "used for convergence detection (default 24)")
     inject.add_argument("--no-translate", action="store_true",
-                        help="run injections through the per-instruction "
-                        "interpreter instead of the basic-block translator; "
+                        help="use the reference engine: the per-instruction "
+                        "interpreter with full-sweep restores instead of the "
+                        "basic-block translator with copy-on-write restores; "
                         "effects are bit-identical either way (the flag "
                         "exists for benchmarking and equivalence audits)")
-    inject.add_argument("--no-cow", action="store_true",
-                        help="restore the full machine state between "
-                        "injections instead of only the pages the previous "
-                        "run dirtied; restores are bit-identical either way")
-    inject.add_argument("--heat-threshold", type=int, default=16,
-                        metavar="N",
-                        help="dispatches of a (pc, mode) before the "
-                        "translator compiles it (default 16; compile "
-                        "timing only, results identical)")
-    inject.add_argument("--no-chain", action="store_true",
-                        help="return to the run loop after every translated "
-                        "block instead of chaining into the successor "
-                        "block (scheduling only, results identical)")
-    inject.add_argument("--no-superblocks", action="store_true",
-                        help="translate straight-line regions only - no "
-                        "in-page branch following, no loop superblocks "
-                        "(region shape only, results identical)")
     inject.add_argument("--profile", action="store_true",
                         help="collect and print the execution profile "
                         "(per-op interpreter dispatches + translator "
@@ -657,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     inject.add_argument("--trace-on-crash", type=int, default=0,
                         metavar="N",
                         help="attach the last N executed instructions to "
-                        "Crash-classified journal records (forces the "
-                        "slow interpreter loop; default off)")
+                        "Crash-classified journal records (a traced run "
+                        "bypasses the block translator; default off)")
     inject.add_argument("--metrics", metavar="PATH", default=None,
                         help="export the telemetry summary as "
                         "machine-readable JSON (repro-metrics schema)")

@@ -37,6 +37,13 @@ from repro.microarch.config import MACHINE_CONFIGS, MachineConfig
 #: Bump when the wire format changes incompatibly.
 PROTOCOL_VERSION = 1
 
+#: Result-neutral engine-tuning fields that older specs carried.  Parsing
+#: drops them, so old payloads and stored campaign rows still load (under
+#: a new, content-derived campaign id).
+RETIRED_SPEC_FIELDS = frozenset(
+    {"cow_images", "heat_threshold", "chain", "superblocks", "digest_probes"}
+)
+
 
 class FabricError(ReproError):
     """A fabric request was invalid or inconsistent (spec drift, bad lease)."""
@@ -100,14 +107,9 @@ class CampaignSpec:
         default_factory=lambda: tuple(c.name for c in Component)
     )
     early_exit: bool = True
-    digest_probes: int = 24
     lifetime_events: bool = True
     trace_on_crash: int = 0
     translate: bool = True
-    cow_images: bool = True
-    heat_threshold: int = 16
-    chain: bool = True
-    superblocks: bool = True
     use_checkpoints: bool = True
     checkpoint_count: int = 8
     #: Learned importance sampling (adaptive-only today; carried so a
@@ -143,14 +145,9 @@ class CampaignSpec:
             confidence=config.confidence,
             components=tuple(component.name for component in components),
             early_exit=config.early_exit,
-            digest_probes=config.digest_probes,
             lifetime_events=config.lifetime_events,
             trace_on_crash=config.trace_on_crash,
             translate=config.translate,
-            cow_images=config.cow_images,
-            heat_threshold=config.heat_threshold,
-            chain=config.chain,
-            superblocks=config.superblocks,
             use_checkpoints=config.use_checkpoints,
             checkpoint_count=config.checkpoint_count,
             learned_sampling=config.learned_sampling,
@@ -172,14 +169,9 @@ class CampaignSpec:
             checkpoint_count=self.checkpoint_count,
             cluster_size=self.cluster_size,
             early_exit=self.early_exit,
-            digest_probes=self.digest_probes,
             lifetime_events=self.lifetime_events,
             trace_on_crash=self.trace_on_crash,
             translate=self.translate,
-            cow_images=self.cow_images,
-            heat_threshold=self.heat_threshold,
-            chain=self.chain,
-            superblocks=self.superblocks,
             learned_sampling=self.learned_sampling,
         )
 
@@ -193,8 +185,16 @@ class CampaignSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CampaignSpec":
-        """Parse a spec payload, rejecting incompatible protocol versions."""
-        data = dict(payload)
+        """Parse a spec payload, rejecting incompatible protocol versions.
+
+        Retired engine-tuning fields that older submitters and stored
+        campaign rows still carry are dropped, not refused.
+        """
+        data = {
+            key: value
+            for key, value in payload.items()
+            if key not in RETIRED_SPEC_FIELDS
+        }
         version = data.get("version", 0)
         if version != PROTOCOL_VERSION:
             raise FabricError(

@@ -82,6 +82,12 @@ __all__ = [
     "build_fault_plan",
 ]
 
+#: Evenly spaced golden-state digest probes per image.  More probes bound
+#: the post-convergence simulation tail more tightly but cost one state
+#: hash each on runs that never converge; like ``early_exit``, the count
+#: cannot change any injection's effect.
+DIGEST_PROBES = 24
+
 
 def default_cache_dir() -> Path:
     """Campaign-result cache location (``REPRO_CACHE_DIR`` overrides)."""
@@ -146,11 +152,6 @@ class CampaignConfig:
     #: they cannot change any injection's effect - only how long it takes
     #: to reach it (enforced by the early-exit equivalence suite).
     early_exit: bool = True
-    #: Number of evenly spaced golden-state digest probes; more probes
-    #: bound the post-convergence simulation tail more tightly but cost
-    #: one state hash each on runs that never converge.  Also excluded
-    #: from the cache key (same reason as ``early_exit``).
-    digest_probes: int = 24
     #: Record per-injection fault-lifetime events (flip -> first read /
     #: overwrite / eviction -> architectural divergence -> outcome; see
     #: :mod:`repro.observability`).  Pure observation - the equivalence
@@ -159,34 +160,19 @@ class CampaignConfig:
     lifetime_events: bool = True
     #: When > 0, keep a bounded instruction trace during each injection and
     #: attach the last N entries to Crash-classified journal records.
-    #: Tracing forces the slow interpreter loop; 0 (the default) disables
-    #: it.  Observation-only, hence also excluded from the cache key.
+    #: A traced run bypasses the translator; 0 (the default) disables it.
+    #: Observation-only, hence also excluded from the cache key.
     trace_on_crash: int = 0
-    #: Execute injected runs through the basic-block translator
-    #: (:mod:`repro.microarch.translate`).  Bit-identical to the interpreter
-    #: by construction (enforced by the translator equivalence suite), so -
-    #: like ``early_exit`` - it is deliberately *not* part of the cache
-    #: key; ``--no-translate`` exists for debugging and audits.
+    #: The accelerated engine: injected runs go through the basic-block
+    #: translator (:mod:`repro.microarch.translate`) and worker machines
+    #: restore copy-on-write between injections (see
+    #: :class:`~repro.microarch.snapshot.DeltaRestorer`).  Off selects the
+    #: reference engine: the per-instruction interpreter plus full-sweep
+    #: restores.  Bit-identical either way (enforced by the translator
+    #: equivalence suite), so - like ``early_exit`` - it is deliberately
+    #: *not* part of the cache key; ``--no-translate`` exists for
+    #: debugging and audits.
     translate: bool = True
-    #: Restore worker machine state copy-on-write between injections
-    #: (rewrite only dirtied/differing pages; see
-    #: :class:`~repro.microarch.snapshot.DeltaRestorer`).  Restores are
-    #: bit-identical either way, so also excluded from the cache key.
-    cow_images: bool = True
-    #: Dispatches of a (pc, mode) before the translator compiles it (see
-    #: :data:`repro.microarch.translate.HEAT_THRESHOLD`).  Compile-timing
-    #: only - blocks are bit-identical to the interpreter whenever they
-    #: run - so, like ``translate`` itself, it is excluded from the cache
-    #: key.
-    heat_threshold: int = 16
-    #: Let the translated dispatcher keep running successor blocks while
-    #: the cycle budget lasts instead of returning to the run loop after
-    #: every block.  Scheduling only; excluded from the cache key.
-    chain: bool = True
-    #: Translate across in-page branches (including taken backward
-    #: branches), turning hot loops into single compiled superblocks.
-    #: Region-shape only; excluded from the cache key.
-    superblocks: bool = True
     #: Compile per-superblock iteration counters into translated blocks and
     #: collect per-op dispatch + translator statistics for the
     #: ``repro-metrics/1`` envelope (see :mod:`repro.microarch.profile`).
@@ -657,9 +643,7 @@ def prepare_image(
     # The probe grid serves both early termination and fault-lifetime
     # divergence stamping, so either feature keeps it alive.
     digest_count = (
-        config.digest_probes
-        if (config.early_exit or config.lifetime_events)
-        else 0
+        DIGEST_PROBES if (config.early_exit or config.lifetime_events) else 0
     )
     record_activity = config.learned_sampling and config.target_margin is not None
     if snapshot_count or digest_count or record_activity:
@@ -683,10 +667,6 @@ def prepare_image(
         lifetime=config.lifetime_events,
         trace_on_crash=config.trace_on_crash,
         translate=config.translate,
-        cow=config.cow_images,
-        heat_threshold=config.heat_threshold,
-        chain=config.chain,
-        superblocks=config.superblocks,
         profile=config.profile,
         activity=activity,
     )

@@ -149,21 +149,14 @@ class MachineImage:
     #: Record per-injection fault-lifetime events (:mod:`repro.observability`).
     lifetime: bool = False
     #: When > 0, trace every injected run and attach the last N instructions
-    #: to Crash-classified results.  Forces the slow interpreter loop.
+    #: to Crash-classified results.  A traced run bypasses the translator.
     trace_on_crash: int = 0
-    #: Run injected programs through the basic-block translator
-    #: (:mod:`repro.microarch.translate`).  Result-neutral by construction;
-    #: ``--no-translate`` exists for debugging and equivalence audits.
+    #: The accelerated engine: injected programs run through the
+    #: basic-block translator (:mod:`repro.microarch.translate`) and
+    #: restores are copy-on-write.  Result-neutral by construction;
+    #: ``--no-translate`` selects the reference engine (interpreter plus
+    #: full-sweep restores) for debugging and equivalence audits.
     translate: bool = True
-    #: Restore injections copy-on-write (rewrite only dirtied/differing
-    #: memory pages) instead of sweeping the whole address space.
-    cow: bool = True
-    #: Translator tuning knobs (see :class:`CampaignConfig` for the
-    #: semantics); all of them are result-neutral scheduling/observation
-    #: switches.
-    heat_threshold: int = 16
-    chain: bool = True
-    superblocks: bool = True
     profile: bool = False
     #: Golden cache/TLB activity observables for learned sampling
     #: (:mod:`repro.observability.golden`); ``None`` unless the campaign
@@ -295,20 +288,15 @@ class ImageInjector:
         self.budget = watchdog_budget(image.golden_cycles)
         self.translator = None
         if image.translate:
-            self.translator = attach_translator(
-                self.system,
-                heat_threshold=image.heat_threshold,
-                chain=image.chain,
-                superblocks=image.superblocks,
-                profile=image.profile,
-            )
+            self.translator = attach_translator(self.system, profile=image.profile)
         if image.profile:
             enable_op_counts(self.system.core)
         # This injector owns its system exclusively and restores through
-        # one engine, which is exactly the DeltaRestorer contract.  Atomic
-        # machines store straight into memory without dirty tracking, so
-        # they keep the full-sweep restore (and uncached digests).
-        if image.cow and not image.machine.atomic:
+        # one engine, which is exactly the DeltaRestorer contract.  The
+        # reference engine sweeps instead, and so do atomic machines: they
+        # store straight into memory without dirty tracking, so they keep
+        # the full-sweep restore (and uncached digests).
+        if image.translate and not image.machine.atomic:
             self._restorer = DeltaRestorer(self.system)
             self.system.memory.enable_digest_cache()
         else:

@@ -553,6 +553,10 @@ _HANDLERS = {
 _DECODE_CACHE: dict[int, tuple | None] = {}
 _DECODE_CACHE_LIMIT = 1 << 20
 
+#: ``next_event`` when no event is pending: later than any watchdog budget,
+#: so the run loop's event check stays a plain integer comparison.
+_NO_EVENT = 1 << 62
+
 
 def _decode_slow(word: int):
     """Decode miss path: populate the memo; returns None for illegal words."""
@@ -630,14 +634,14 @@ class Core:
 
         #: Optional basic-block translator
         #: (:class:`repro.microarch.translate.BlockTranslator`).  ``None``
-        #: means pure interpretation.  Both run loops consult it between
-        #: instructions; it is ignored while a trace hook is installed
-        #: (tracing is per-instruction by definition).
+        #: means pure interpretation.  :meth:`run` consults it between
+        #: instructions; a traced run bypasses it (tracing is
+        #: per-instruction by definition).
         self.translator = None
 
         #: Optional per-op dispatch histogram (handler -> count), enabled
         #: by :func:`repro.microarch.profile.enable_op_counts`.  ``None``
-        #: (the default) keeps the interpreter loops branch-cheap; when
+        #: (the default) keeps the interpreter loop branch-cheap; when
         #: set, every *interpreted* dispatch is tallied - translated
         #: instructions deliberately do not appear here, which is exactly
         #: what makes the histogram useful: it shows what still falls back.
@@ -852,42 +856,6 @@ class Core:
 
     # -- execution ---------------------------------------------------------------
 
-    def step(self) -> None:
-        """Fetch, decode, and execute one instruction."""
-        pc = self.pc
-        self.current_pc = pc
-        if pc & 3:
-            raise AlignmentFault(f"misaligned fetch at {pc:#010x}", pc=pc)
-        if pc >= MMIO_BASE:
-            raise SegmentationFault(f"fetch from device space {pc:#010x}", pc=pc)
-
-        if self.atomic:
-            if pc + 4 > self.memory.size:
-                raise SegmentationFault(f"fetch outside memory {pc:#010x}", pc=pc)
-            word = int.from_bytes(self.memory.data[pc : pc + 4], "little")
-            fetch_latency = 0
-        else:
-            paddr, tlb_latency = self._translate(pc, self.itlb, PTE_EXEC)
-            data, cache_latency = self.l1i.read(paddr, 4)
-            word = int.from_bytes(data, "little")
-            fetch_latency = tlb_latency + cache_latency
-
-        entry = _DECODE_CACHE.get(word)
-        if entry is None:
-            entry = _decode_slow(word)
-            if entry is None:
-                raise IllegalInstruction(
-                    f"illegal instruction {word:#010x} at {pc:#010x}", pc=pc
-                )
-        self.pc = pc + 4
-        handler, rd, rs1, rs2, imm = entry
-        counts = self.op_counts
-        if counts is not None:
-            counts[handler] = counts.get(handler, 0) + 1
-        cost = handler(self, rd, rs1, rs2, imm)
-        self.icount += 1
-        self.cycle += 1 + fetch_latency + cost
-
     def run(self, max_cycles: int, events=None, trace=None) -> None:
         """Execute until a :class:`SimulationTermination` is raised.
 
@@ -896,14 +864,13 @@ class Core:
         passes their timestamp (used by the fault injectors).
 
         ``trace``, if given, is called with the core before every
-        instruction (used by :mod:`repro.microarch.trace`).
+        instruction (used by :mod:`repro.microarch.trace`); a traced run
+        bypasses the translator, since tracing is per-instruction.
 
-        Once no events remain to fire and no trace hook is installed,
-        execution switches to :meth:`_run_fast`, a fetch/decode/execute
-        loop with the per-instruction event and trace branches removed and
-        hot attribute lookups hoisted into locals.  Its semantics are
-        cycle-for-cycle identical to this loop (the injection equivalence
-        suite depends on that).
+        This is the simulator's only run loop: fetch, decode and execute
+        with invariant lookups (memory buffer, cache/TLB state, the decode
+        memo) bound to locals and inline ITLB/L1I hit paths, plus
+        translated blocks dispatched between instructions.
 
         This method always exits by raising: :class:`ProgramExit`,
         :class:`ApplicationAbort`, :class:`KernelPanic` or
@@ -911,80 +878,13 @@ class Core:
         """
         pending = sorted(events, key=lambda item: item[0]) if events else []
         pending.reverse()  # pop() from the end
-        next_event = pending[-1][0] if pending else None
-        translator = self.translator if trace is None else None
-
-        while True:
-            if next_event is None and trace is None:
-                self._run_fast(max_cycles)  # always exits by raising
-            cycle = self.cycle
-            if next_event is not None and cycle >= next_event:
-                _cycle, action = pending.pop()
-                action()
-                next_event = pending[-1][0] if pending else None
-                continue
-            if cycle >= self.next_timer:
-                if self.mode == Mode.USER:
-                    self.timer_irqs += 1
-                    self.enter_kernel(CAUSE_TIMER, epc=self.pc)
-                    self.next_timer = cycle + self.timer_interval
-                # In kernel mode the interrupt stays pending until eret.
-            if cycle >= max_cycles:
-                raise WatchdogTimeout(cycle)
-            if trace is not None:
-                trace(self)
-            if translator is not None:
-                # A translated block may run only up to the next boundary a
-                # per-instruction check would notice: the next event, the
-                # watchdog, and (in user mode) the pending timer.  All three
-                # checks above guarantee limit > cycle here.
-                limit = (
-                    next_event
-                    if next_event is not None and next_event < max_cycles
-                    else max_cycles
-                )
-                if self.mode == Mode.USER and self.next_timer < limit:
-                    limit = self.next_timer
-                try:
-                    if translator.execute(self, limit):
-                        continue
-                except ArchitecturalFault as fault:
-                    if self.mode == Mode.KERNEL:
-                        raise KernelPanic(
-                            str(fault), pc=self.current_pc
-                        ) from fault
-                    self.enter_kernel(
-                        fault.cause, epc=self.current_pc, faultaddr=fault.pc
-                    )
-                    self.cycle += 4
-                    continue
-            try:
-                self.step()
-            except ArchitecturalFault as fault:
-                if self.mode == Mode.KERNEL:
-                    raise KernelPanic(str(fault), pc=self.current_pc) from fault
-                self.enter_kernel(
-                    fault.cause, epc=self.current_pc, faultaddr=fault.pc
-                )
-                self.cycle += 4
-
-    def _run_fast(self, max_cycles: int) -> None:
-        """Event-free, trace-free interpreter loop (the campaign hot path).
-
-        This is :meth:`step` inlined into the run loop with invariant
-        lookups (memory buffer, cache/TLB methods, the decode memo) bound
-        to locals.  Any behavioural change here must keep it bit-exact
-        with the slow loop in :meth:`run`.
-        """
+        next_event = pending[-1][0] if pending else _NO_EVENT
         atomic = self.atomic
         memory_data = self.memory.data
         memory_size = self.memory.size
         translate = self._translate
         itlb = self.itlb
         itlb_map = itlb._map
-        # Taint probes are installed by the flip event, which fires in the
-        # slow loop of run(); this loop is (re-)entered afterwards, so
-        # binding the probes to locals here always sees the current ones.
         itlb_probe = itlb.probe
         l1i = self.l1i
         l1i_probe = l1i.probe
@@ -1002,12 +902,19 @@ class Core:
         int_from_bytes = int.from_bytes
         mode_user = Mode.USER
         mode_kernel = Mode.KERNEL
-        translator = self.translator
+        translator = self.translator if trace is None else None
         translator_execute = translator.execute if translator is not None else None
         op_counts = self.op_counts
 
         while True:
             cycle = self.cycle
+            if cycle >= next_event:
+                pending.pop()[1]()
+                next_event = pending[-1][0] if pending else _NO_EVENT
+                # Taint probes are armed by the flip event: rebind them.
+                itlb_probe = itlb.probe
+                l1i_probe = l1i.probe
+                continue
             if cycle >= self.next_timer:
                 if self.mode is mode_user:
                     self.timer_irqs += 1
@@ -1016,29 +923,21 @@ class Core:
                 # In kernel mode the interrupt stays pending until eret.
             if cycle >= max_cycles:
                 raise WatchdogTimeout(cycle)
-            if translator_execute is not None:
-                # Same boundary rule as the slow loop: stop at the watchdog
-                # and, in user mode, at the pending timer.  The checks above
-                # guarantee limit > cycle here.
-                limit = self.next_timer if self.mode is mode_user else max_cycles
-                if limit > max_cycles:
-                    limit = max_cycles
-                try:
+            if trace is not None:
+                trace(self)
+            try:
+                if translator_execute is not None:
+                    # A translated block may run only up to the next boundary
+                    # a per-instruction check would notice: the next event,
+                    # the watchdog, and (in user mode) the pending timer.
+                    # The checks above guarantee limit > cycle here.
+                    limit = next_event if next_event < max_cycles else max_cycles
+                    if self.mode is mode_user and self.next_timer < limit:
+                        limit = self.next_timer
                     if translator_execute(self, limit):
                         continue
-                except ArchitecturalFault as fault:
-                    if self.mode is mode_kernel:
-                        raise KernelPanic(
-                            str(fault), pc=self.current_pc
-                        ) from fault
-                    self.enter_kernel(
-                        fault.cause, epc=self.current_pc, faultaddr=fault.pc
-                    )
-                    self.cycle += 4
-                    continue
-            pc = self.pc
-            self.current_pc = pc
-            try:
+                pc = self.pc
+                self.current_pc = pc
                 if pc & 3:
                     raise AlignmentFault(f"misaligned fetch at {pc:#010x}", pc=pc)
                 if pc >= MMIO_BASE:
@@ -1058,7 +957,7 @@ class Core:
                     # applied only once the hit is certain, so falling back
                     # to the full _translate() on any miss, permission
                     # problem or bounds problem replays the exact sequence
-                    # the slow path would have produced.
+                    # TLB.lookup would have produced.
                     vpn = pc >> page_shift
                     tlb_entry = itlb_map.get(vpn)
                     paddr = -1

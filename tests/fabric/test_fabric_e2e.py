@@ -7,6 +7,9 @@ Acceptance scenarios from the fault-farm correctness sweep:
 - a coordinator that dies mid-campaign (server torn down without any
   cleanup, new coordinator pointed at the same store/journals) resumes
   with zero duplicated injections;
+- a coordinator restarted on a store whose campaign row predates the
+  retired engine-tuning spec fields resumes it under the new campaign
+  id, with zero faults leased again;
 - a second campaign over a longer prefix of the same fault stream
   reuses every completed fault from the first (identity dedup).
 
@@ -16,12 +19,15 @@ lives in ``test_cli_smoke.py``.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sqlite3
 import threading
 
 import pytest
 
 from repro.fabric.client import FabricClient
-from repro.fabric.protocol import CampaignSpec
+from repro.fabric.protocol import CampaignSpec, FabricError
 from repro.fabric.coordinator import Coordinator, create_server
 from repro.fabric.store import FaultStore
 from repro.fabric.worker import FabricWorker
@@ -246,6 +252,69 @@ class TestCoordinatorKillAndResume:
                 counts[effect] = counts.get(effect, 0) + 1
             assert result.components[component].counts == counts
         restarted.stop()
+
+
+class TestLegacyCampaignRow:
+    def test_restart_reactivates_a_legacy_row_under_its_new_id(
+        self, tmp_path, workload, config, serial
+    ):
+        """A store whose campaign row still carries the retired
+        engine-tuning spec fields resumes after the upgrade: the row
+        parses, the campaign re-activates under its new content-derived
+        id, and the store -> journal reconcile refills the new id's
+        journal, so no fault is leased again."""
+        fabric = _Fabric(tmp_path)
+        run_client_and_workers(fabric, workload, config, worker_count=1)
+        fabric.stop()
+
+        # Rewrite the campaign row and journal into the shape an older
+        # coordinator left them in: legacy payload, legacy id.
+        spec = CampaignSpec.from_config(
+            workload.name, config, serial["golden"].cycles, COMPONENTS
+        )
+        legacy = {
+            **spec.to_payload(),
+            "digest_probes": 24,
+            "cow_images": True,
+            "heat_threshold": 16,
+            "chain": True,
+            "superblocks": True,
+        }
+        canonical = json.dumps(legacy, sort_keys=True).encode()
+        legacy_id = hashlib.blake2b(canonical, digest_size=6).hexdigest()
+        assert legacy_id != spec.campaign_id
+        with sqlite3.connect(tmp_path / "faults.sqlite") as conn:
+            conn.execute(
+                "UPDATE campaigns SET id = ?, spec = ? WHERE id = ?",
+                (legacy_id, json.dumps(legacy), spec.campaign_id),
+            )
+        journals = tmp_path / "journals"
+        (journals / f"{spec.campaign_id}.jsonl").rename(
+            journals / f"{legacy_id}.jsonl"
+        )
+
+        restarted = _Fabric(tmp_path)
+        coordinator = restarted.coordinator
+        try:
+            assert coordinator.status(spec.campaign_id)["complete"]
+            with pytest.raises(FabricError):
+                coordinator.status(legacy_id)
+            assert coordinator.lease("late") == {"idle": True}
+            _meta, records, quarantines = read_journal(
+                journals / f"{spec.campaign_id}.jsonl"
+            )
+            assert quarantines == []
+            effects = {
+                (record.component, record.index): record.effect
+                for record in records
+            }
+            assert effects == {
+                (component, index): effect
+                for component in COMPONENTS
+                for index, effect in enumerate(serial["effects"][component])
+            }
+        finally:
+            restarted.stop()
 
 
 class TestCrossCampaignDedup:

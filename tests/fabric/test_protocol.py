@@ -106,6 +106,20 @@ class TestCampaignSpec:
         spec = CampaignSpec.from_payload(payload)
         assert spec.learned_sampling is False
 
+    def test_retired_engine_fields_are_dropped(self):
+        """Payloads from before the engine knobs were retired keep
+        parsing; only the (content-derived) campaign id changes."""
+        spec = make_spec()
+        payload = {
+            **spec.to_payload(),
+            "digest_probes": 12,
+            "cow_images": False,
+            "heat_threshold": 4,
+            "chain": False,
+            "superblocks": False,
+        }
+        assert CampaignSpec.from_payload(payload) == spec
+
 
 class TestFaultIdentity:
     def test_identity_base_carries_the_campaign_invariants(self):

@@ -1,16 +1,17 @@
-"""Fabric workers honor the campaign's execution-engine spec fields.
+"""Fabric workers honor the campaign's engine switch.
 
-The wire protocol carries the submitter's engine configuration
-(``translate``, ``cow_images``, ``heat_threshold``, ``chain``,
-``superblocks``) so a worker rebuilds the campaign with the *same*
-engine the submitter would use locally.  These are performance knobs -
-effects are bit-identical either way - but a worker silently dropping
-``translate`` would run an order of magnitude slower than the farm
-operator expects, so the threading is pinned here:
+The wire protocol carries the submitter's ``translate`` switch so a
+worker rebuilds the campaign with the *same* engine the submitter would
+use locally: the accelerated engine (block translator plus copy-on-write
+restores) or the reference engine (interpreter plus full-sweep
+restores).  Effects are bit-identical either way, but a worker silently
+dropping ``translate`` would run an order of magnitude slower than the
+farm operator expects, so the threading is pinned here:
 
-- a spec round-trip preserves every engine field;
-- the worker-side campaign context builds a translator wired with the
-  spec's knobs (and none when the spec says interpret);
+- a spec round-trip preserves the switch;
+- the worker-side campaign context builds a translator and a
+  :class:`~repro.microarch.snapshot.DeltaRestorer` (and neither when the
+  spec says interpret);
 - an injection through the translated context actually *runs*
   translated blocks, and its effect matches the interpreted context's.
 """
@@ -23,6 +24,7 @@ from repro.fabric.protocol import CampaignSpec
 from repro.fabric.worker import _CampaignContext
 from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.components import Component
+from repro.microarch.snapshot import DeltaRestorer
 from repro.workloads import get_workload
 
 WORKLOAD = "StringSearch"
@@ -43,40 +45,23 @@ def _spec(golden_cycles, **overrides):
 
 
 def test_spec_roundtrip_preserves_engine_fields(golden_cycles):
-    spec = _spec(
-        golden_cycles,
-        translate=False,
-        cow_images=False,
-        heat_threshold=5,
-        chain=False,
-        superblocks=False,
-    )
-    wire = CampaignSpec.from_payload(spec.to_payload())
-    config = wire.to_config()
-    assert config.translate is False
-    assert config.cow_images is False
-    assert config.heat_threshold == 5
-    assert config.chain is False
-    assert config.superblocks is False
+    for translate in (False, True):
+        spec = _spec(golden_cycles, translate=translate)
+        wire = CampaignSpec.from_payload(spec.to_payload())
+        assert wire.to_config().translate is translate
 
 
 def test_worker_context_runs_translated(golden_cycles):
-    spec = _spec(golden_cycles, heat_threshold=4, chain=False)
-    context = _CampaignContext(spec)
+    context = _CampaignContext(_spec(golden_cycles))
     translator = context.injector.translator
     assert translator is not None
-    assert context.image.cow is True
-    assert translator.heat_threshold == 4
-    assert translator.chain is False
-    assert translator.superblocks is True
+    assert isinstance(context.injector._restorer, DeltaRestorer)
 
     fault = context.plan[Component.REGFILE][0]
     effect = context.injector.run_fault(fault)
     assert translator.block_runs > 0, "worker context never ran a block"
 
-    interpreted = _CampaignContext(
-        _spec(golden_cycles, translate=False, cow_images=False)
-    )
+    interpreted = _CampaignContext(_spec(golden_cycles, translate=False))
     assert interpreted.injector.translator is None
-    assert interpreted.image.cow is False
+    assert interpreted.injector._restorer is None
     assert interpreted.injector.run_fault(fault) == effect

@@ -204,7 +204,6 @@ class TestCampaignIntegration:
                     faults_per_component=4,
                     seed=7,
                     early_exit=early_exit,
-                    digest_probes=12,
                 ),
                 cache_dir=tmp_path / f"cache-{early_exit}",
             )
@@ -221,9 +220,7 @@ class TestCampaignIntegration:
 
     def test_early_exit_not_in_cache_key(self):
         base = CampaignConfig(faults_per_component=4, seed=7)
-        pruned = CampaignConfig(
-            faults_per_component=4, seed=7, early_exit=False, digest_probes=3
-        )
+        pruned = CampaignConfig(faults_per_component=4, seed=7, early_exit=False)
         assert base.cache_key("X") == pruned.cache_key("X")
 
     def test_plan_feeds_termination_telemetry(self, prepared):

@@ -183,7 +183,7 @@ class TestAccelerationEquivalence:
     def baseline_effects(self, workload, golden, snapshots, plan):
         image = MachineImage.capture(
             workload, SCALED_A9_CONFIG, golden, snapshots,
-            translate=False, cow=False,
+            translate=False,
         )
         return run_injection_plan(image, plan, jobs=1)
 
@@ -193,13 +193,13 @@ class TestAccelerationEquivalence:
     ):
         image = MachineImage.capture(
             workload, SCALED_A9_CONFIG, golden, snapshots,
-            translate=True, cow=True,
+            translate=True,
         )
         assert run_injection_plan(image, plan, jobs=jobs) == baseline_effects
 
     def test_knobs_do_not_change_the_cache_key(self):
-        fast = CampaignConfig(translate=True, cow_images=True)
-        slow = CampaignConfig(translate=False, cow_images=False)
+        fast = CampaignConfig(translate=True)
+        slow = CampaignConfig(translate=False)
         assert fast.cache_key("CRC32") == slow.cache_key("CRC32")
 
 
