@@ -97,8 +97,9 @@ def test_lifetime_event_overhead(benchmark):
 
     Runs the same mini-campaign with and without
     ``MachineImage.lifetime`` (everything else identical, early exit on
-    in both) and bounds the slowdown.  Effects must be byte-identical -
-    events are pure observation.
+    in both), in interleaved rounds, and bounds the slowdown of the
+    fastest round of each.  Effects must be byte-identical - events are
+    pure observation.
 
     Both images disable the basic-block translator so the budget
     isolates the cost of the event collection itself, interpreter vs
@@ -110,9 +111,9 @@ def test_lifetime_event_overhead(benchmark):
     """
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
-        workload, SCALED_A9_CONFIG, golden
-    )
+    observed = record_golden_observables(workload, SCALED_A9_CONFIG, golden)
+    snapshots = observed.snapshots
+    digests, arch_digests = observed.digests, observed.arch_digests
     plan = {
         component: generate_faults(
             component,
@@ -138,17 +139,22 @@ def test_lifetime_event_overhead(benchmark):
         translate=False,
     )
 
-    effects_on = benchmark.pedantic(
-        lambda: run_injection_plan(image_on, plan, jobs=1),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-    on_seconds = benchmark.stats.stats.min
-    effects_off = run_injection_plan(image_off, plan, jobs=1)
-    off_seconds = _min_seconds(
-        lambda: run_injection_plan(image_off, plan, jobs=1), rounds=3
-    )
+    # On and off rounds interleave (alternating which goes first), so a
+    # slow spell on a shared host lands on both sides instead of one.
+    seconds: dict[str, list[float]] = {"on": [], "off": []}
+    effects: dict[str, list] = {}
+    pair = [("on", image_on), ("off", image_off)]
+
+    def paired_round() -> None:
+        for side, image in pair:
+            start = time.perf_counter()
+            effects[side] = run_injection_plan(image, plan, jobs=1)
+            seconds[side].append(time.perf_counter() - start)
+        pair.reverse()
+
+    benchmark.pedantic(paired_round, rounds=3, iterations=1, warmup_rounds=1)
+    on_seconds, off_seconds = min(seconds["on"]), min(seconds["off"])
+    effects_on, effects_off = effects["on"], effects["off"]
 
     overhead = on_seconds / off_seconds - 1.0
     benchmark.extra_info["baseline_seconds"] = round(off_seconds, 4)
@@ -191,9 +197,9 @@ def test_lifetime_campaign_translation_speedup(benchmark):
     """
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
-        workload, SCALED_A9_CONFIG, golden
-    )
+    observed = record_golden_observables(workload, SCALED_A9_CONFIG, golden)
+    snapshots = observed.snapshots
+    digests, arch_digests = observed.digests, observed.arch_digests
     plan = {
         component: generate_faults(
             component,

@@ -119,9 +119,9 @@ def test_taint_on_translator_equivalence():
     """
     workload = get_workload("CRC32")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
-        workload, SCALED_A9_CONFIG, golden
-    )
+    observed = record_golden_observables(workload, SCALED_A9_CONFIG, golden)
+    snapshots = observed.snapshots
+    digests, arch_digests = observed.digests, observed.arch_digests
     plan = {
         component: generate_faults(
             component,

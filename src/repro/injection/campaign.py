@@ -25,6 +25,7 @@ bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from dataclasses import dataclass, field
@@ -58,9 +59,16 @@ from repro.microarch.snapshot import (
     SystemSnapshot,
     best_snapshot,
     record_snapshots,
-    run_with_captures,
 )
 from repro.microarch.system import RunResult, System
+from repro.microarch.translate import attach_translator
+from repro.observability.golden import (
+    ActivityRecorder,
+    GoldenActivity,
+    RegisterUse,
+    RegisterUseRecorder,
+    activity_grid,
+)
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -544,22 +552,40 @@ def record_golden_captures(
     snapshot_count: int = 8,
     digest_count: int = 24,
 ) -> tuple[list, dict[int, bytes]]:
-    """Capture checkpoints *and* state digests in one golden prefix run.
+    """Capture checkpoints *and* state digests in one golden run.
 
     Returns ``(snapshots, digests)`` where ``digests`` maps probe cycles
-    to full-machine state digests (:mod:`repro.microarch.digest`).  Both
-    grids are recorded through the same event mechanism the injectors use,
-    in a single run that stops right after the last capture - one golden
-    prefix instead of two.
+    to full-machine state digests (:mod:`repro.microarch.digest`); see
+    :func:`record_golden_observables`.
     """
-    snapshots, digests, _, _ = record_golden_observables(
+    capture = record_golden_observables(
         workload,
         machine,
         golden,
         snapshot_count=snapshot_count,
         digest_count=digest_count,
     )
-    return snapshots, digests
+    return capture.snapshots, capture.digests
+
+
+@dataclass(frozen=True)
+class GoldenCapture:
+    """Everything one golden capture run records (see
+    :func:`record_golden_observables`)."""
+
+    #: Checkpoints at evenly spaced cycles, in cycle order.
+    snapshots: list
+    #: Probe cycle -> full-machine state digest (early Masked termination).
+    digests: dict[int, bytes]
+    #: Probe cycle -> architectural digest (divergence stamping).
+    arch_digests: dict[int, bytes]
+    #: Probe cycle -> the cycle the probe actually fired at (the first
+    #: instruction boundary at or past it).
+    probe_fired: dict[int, int]
+    #: Last access cycle of every physical register.
+    register_use: RegisterUse
+    #: Golden cache/TLB activity, when requested.
+    activity: GoldenActivity | None = None
 
 
 def record_golden_observables(
@@ -569,36 +595,43 @@ def record_golden_observables(
     snapshot_count: int = 8,
     digest_count: int = 24,
     record_activity: bool = False,
-) -> tuple[list, dict[int, bytes], dict[int, bytes], "GoldenActivity | None"]:
-    """Capture checkpoints, digests and (optionally) activity at once.
+    translate: bool = False,
+) -> GoldenCapture:
+    """Capture checkpoints, digests, register use and activity at once.
 
-    Returns ``(snapshots, digests, arch_digests, activity)``.  ``digests``
-    maps probe cycles to full-machine state digests (early Masked
-    termination); ``arch_digests`` maps the *same* probe cycles to
+    ``digests`` maps probe cycles to full-machine state digests (early
+    Masked termination); ``arch_digests`` maps the *same* probe cycles to
     architectural-state digests (:func:`~repro.microarch.digest.arch_digest`),
     which the fault-lifetime layer compares against to timestamp the first
-    architectural divergence of an injected run.  With ``record_activity``
-    (learned sampling), the run additionally carries an observation-only
+    architectural divergence of an injected run, and ``probe_fired``
+    records the cycle each probe fired at.  A register-use recorder
+    (:class:`~repro.observability.golden.RegisterUseRecorder`) wraps the
+    register file for the whole run, which therefore continues to program
+    exit.  With ``record_activity`` (learned sampling), the run
+    additionally carries an observation-only
     :class:`~repro.observability.golden.ActivityRecorder` whose residency
-    sweeps join the capture grid; ``activity`` is ``None`` otherwise.  All
-    grids are recorded through the same event mechanism the injectors use,
-    in a single run that stops right after the last capture - one golden
-    prefix instead of several.
-    """
-    from repro.observability.golden import ActivityRecorder, activity_grid
+    sweeps join the capture grid.  All grids are recorded through the
+    same event mechanism the injectors use, in one run.
 
+    With ``translate`` the run executes on the accelerated engine - the
+    block translator, detached when the run ends, and memoized page
+    digests; the recorded observables are identical either way.
+    """
     system = System(workload.program(machine.layout), config=machine)
     step = max(1, golden.cycles // (snapshot_count + 1))
     snapshot_cycles = [step * (index + 1) for index in range(snapshot_count)]
     snapshots: list[SystemSnapshot] = []
     digests: dict[int, bytes] = {}
     arch_digests: dict[int, bytes] = {}
+    probe_fired: dict[int, int] = {}
+    core = system.core
 
     def snap() -> None:
         snapshots.append(SystemSnapshot(system))
 
     def make_probe(cycle: int):
         def capture() -> None:
+            probe_fired[cycle] = core.cycle
             digests[cycle] = system_digest(system)
             arch_digests[cycle] = arch_digest(system)
 
@@ -615,9 +648,35 @@ def record_golden_observables(
         captures += [
             (cycle, recorder.sweep) for cycle in activity_grid(golden.cycles)
         ]
-    run_with_captures(system, captures)
-    activity = recorder.finish() if recorder is not None else None
-    return snapshots, digests, arch_digests, activity
+    register_use = RegisterUseRecorder(system).attach()
+    if translate and not machine.atomic:
+        # The accelerated engine, as in the injectors: page digests are
+        # memoized between probes, and the run is translated - except
+        # under the activity recorder, a fetch-side probe that must see
+        # every fetch.  The wrapped variants the capture compiles stay
+        # in the module-wide code cache for later register-taint runs.
+        system.memory.enable_digest_cache()
+        if recorder is None:
+            attach_translator(system)
+    try:
+        result = system.run(
+            max_cycles=watchdog_budget(golden.cycles), events=captures
+        )
+    finally:
+        core.translator = None
+    if result.cycles != golden.cycles or result.output != golden.output:
+        raise InjectionError(
+            f"golden capture of {workload.name} diverged from the golden "
+            f"run ({result.cycles} vs {golden.cycles} cycles)"
+        )
+    return GoldenCapture(
+        snapshots=snapshots,
+        digests=digests,
+        arch_digests=arch_digests,
+        probe_fired=probe_fired,
+        register_use=register_use.finish(),
+        activity=recorder.finish() if recorder is not None else None,
+    )
 
 
 def prepare_image(
@@ -625,9 +684,10 @@ def prepare_image(
 ) -> tuple[RunResult, MachineImage]:
     """Golden run plus the shippable machine image the farm injects into.
 
-    One golden prefix run captures checkpoints, full-state digests and
-    architectural digests together (whichever of them ``config`` needs);
-    the image bundles them for the workers.  This is the shared seam
+    One golden capture run records checkpoints, full-state and
+    architectural digests, probe fire cycles and register last uses
+    together (whichever of them ``config`` needs); the image bundles them
+    for the workers.  This is the shared seam
     between :class:`InjectionCampaign` and the fabric worker
     (:mod:`repro.fabric.worker`) - both build *exactly* the same image
     from the same config, which is what makes a distributed campaign
@@ -635,10 +695,6 @@ def prepare_image(
     """
     machine = config.machine
     golden = run_golden(workload, machine)
-    snapshots: list | None = None
-    digests: dict[int, bytes] = {}
-    arch_digests: dict[int, bytes] = {}
-    activity = None
     snapshot_count = config.checkpoint_count if config.use_checkpoints else 0
     # The probe grid serves both early termination and fault-lifetime
     # divergence stamping, so either feature keeps it alive.
@@ -646,14 +702,25 @@ def prepare_image(
         DIGEST_PROBES if (config.early_exit or config.lifetime_events) else 0
     )
     record_activity = config.learned_sampling and config.target_margin is not None
+    snapshots: list | None = None
+    observed: dict = {}
     if snapshot_count or digest_count or record_activity:
-        snapshots, digests, arch_digests, activity = record_golden_observables(
+        capture = record_golden_observables(
             workload,
             machine,
             golden,
             snapshot_count=snapshot_count,
             digest_count=digest_count,
             record_activity=record_activity,
+            translate=config.translate,
+        )
+        snapshots = capture.snapshots
+        observed = dict(
+            digests=capture.digests,
+            arch_digests=capture.arch_digests,
+            probe_fired=capture.probe_fired,
+            register_use=capture.register_use,
+            activity=capture.activity,
         )
     image = MachineImage.capture(
         workload,
@@ -661,15 +728,18 @@ def prepare_image(
         golden,
         snapshots,
         cluster_size=config.cluster_size,
-        digests=digests,
         early_exit=config.early_exit,
-        arch_digests=arch_digests,
         lifetime=config.lifetime_events,
         trace_on_crash=config.trace_on_crash,
         translate=config.translate,
         profile=config.profile,
-        activity=activity,
+        **observed,
     )
+    # The golden and capture machines are now garbage of tens of MiB
+    # each, held in reference cycles.  Left to the allocation-driven
+    # schedule, the full collection that frees them can come several
+    # programs later, and every worker forked meanwhile inherits them.
+    gc.collect()
     return golden, image
 
 

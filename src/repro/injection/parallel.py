@@ -46,7 +46,12 @@ equivalence guarantee (effects are bit-identical with pruning on or off):
 
 - **dead-cell short-circuit**: a flip landing entirely in *invalid* cache
   lines can never be observed (the only way back to valid overwrites the
-  whole line), so it is classified Masked at flip time;
+  whole line), so it is classified Masked at flip time.  The same holds
+  for a register-file flip whose registers the golden run never accesses
+  again (the image carries each physical register's last golden access
+  cycle): the run stays the golden run to program exit, so it ends at
+  flip time with exactly the event record its full run would produce,
+  and with early exit off it arms no register taint probe;
 - **golden-state digest convergence**: the image carries blake2b digests
   of the golden run's complete mutable state at a probe grid of cycles
   (:mod:`repro.microarch.digest`); an injected run registers probe events
@@ -96,7 +101,7 @@ from repro.observability.events import (
     EV_OUTCOME,
     FaultLifetime,
 )
-from repro.observability.golden import GoldenActivity
+from repro.observability.golden import GoldenActivity, RegisterUse
 from repro.observability.taint import install_taint
 
 #: Cycle budget for injected runs, relative to the fault-free duration.
@@ -162,6 +167,12 @@ class MachineImage:
     #: (:mod:`repro.observability.golden`); ``None`` unless the campaign
     #: was configured with ``learned_sampling``.
     activity: GoldenActivity | None = None
+    #: Probe cycle -> the cycle the golden run's probe actually fired at.
+    probe_fired: dict[int, int] = field(default_factory=dict)
+    #: The golden run's last access cycle of every physical register,
+    #: which settles dead-register flips at flip time; ``None`` (beam
+    #: images) simulates every register flip.
+    register_use: RegisterUse | None = None
     #: Beam protocol (:mod:`repro.beam`): the online check routine, loaded
     #: with ``golden_output`` in its golden buffer; the kernel's beam mode;
     #: and the seed of the background-OS steady-state content.
@@ -208,7 +219,8 @@ def boot_system(image: MachineImage) -> System:
 
 
 #: ``InjectionResult.ended_by`` values: simulated to completion, converged
-#: onto a golden digest, or flipped only unobservable invalid cache lines.
+#: onto a golden digest, or flipped only cells the run never observes
+#: (invalid cache lines, registers the golden run never accesses again).
 ENDED_FULL = "full"
 ENDED_DIGEST = "digest"
 ENDED_DEAD_CELL = "dead-cell"
@@ -223,9 +235,11 @@ class EarlyMasked(Exception):
     :class:`~repro.errors.ReproError` (nothing went wrong).
     """
 
-    def __init__(self, mechanism: str):
+    def __init__(self, mechanism: str, outcome_cycle: int | None = None):
         super().__init__(mechanism)
         self.mechanism = mechanism
+        #: Cycle to stamp the ``outcome`` event at (default: the stop cycle).
+        self.outcome_cycle = outcome_cycle
 
 
 @dataclass(frozen=True)
@@ -252,11 +266,13 @@ class InjectionResult:
     trace: tuple = ()
 
 
-def _finish_lifetime(lifetime: FaultLifetime | None, effect: FaultEffect) -> tuple:
+def _finish_lifetime(
+    lifetime: FaultLifetime | None, effect: FaultEffect, cycle: int | None = None
+) -> tuple:
     """Stamp the terminal outcome and return the event payload."""
     if lifetime is None:
         return ()
-    lifetime.event(EV_OUTCOME, effect.name)
+    lifetime.event(EV_OUTCOME, effect.name, cycle)
     return lifetime.to_payload()
 
 
@@ -349,6 +365,9 @@ class ImageInjector:
         tracer = Tracer(image.trace_on_crash) if image.trace_on_crash else None
         uninstall: list = []
         pre_flip = self.pre_flip
+        register_use = (
+            image.register_use if fault.component is Component.REGFILE else None
+        )
 
         def flip():
             if pre_flip is not None:
@@ -365,13 +384,22 @@ class ImageInjector:
                 (fault.bit_index + offset) % population
                 for offset in range(cluster)
             ]
+            dead = False
+            if register_use is not None:
+                slots = {target.slot_of(bit) for bit in bits}
+                dead = register_use.dead_after(slots, system.core.cycle)
+                if dead and early:
+                    if lifetime is not None:
+                        self._stamp_dead_registers(lifetime, fault, slots)
+                    raise EarlyMasked(ENDED_DEAD_CELL, image.golden_cycles)
             for bit in bits:
                 target.flip_bit(bit)
             if lifetime is not None:
                 lifetime.event(EV_FLIP, fault.component.name)
-                uninstall.append(
-                    install_taint(system, fault.component, bits, lifetime)
-                )
+                if not dead:
+                    uninstall.append(
+                        install_taint(system, fault.component, bits, lifetime)
+                    )
 
         events = [(fault.cycle, flip)]
         for cycle in self._probe_cycles:
@@ -390,7 +418,9 @@ class ImageInjector:
                 FaultEffect.MASKED,
                 masked.mechanism,
                 saved,
-                events=_finish_lifetime(lifetime, FaultEffect.MASKED),
+                events=_finish_lifetime(
+                    lifetime, FaultEffect.MASKED, masked.outcome_cycle
+                ),
             )
         finally:
             # Taint probes must not outlive the injection: the next run on
@@ -413,6 +443,27 @@ class ImageInjector:
             events=_finish_lifetime(lifetime, effect),
             trace=trace_tail,
         )
+
+    def _stamp_dead_registers(
+        self, lifetime: FaultLifetime, fault: Fault, slots
+    ) -> None:
+        """Record the events the full run of a dead-register flip records.
+
+        Until program exit that run is the golden run with the flipped
+        values sitting unread: no read or overwrite ever fires, no full
+        digest ever matches, and the architectural digest differs from
+        the first probe after the fault on - if an architectural
+        register was flipped - at exactly the cycle the golden probe
+        fired.  The ``outcome`` is stamped at the golden exit.
+        """
+        image = self.image
+        rf = self.system.rf
+        lifetime.event(EV_FLIP, fault.component.name)
+        if any(rf.is_architectural(slot) for slot in slots):
+            for cycle in self._probe_cycles:
+                if cycle > fault.cycle and cycle in image.arch_digests:
+                    lifetime.event(EV_DIVERGE, cycle=image.probe_fired[cycle])
+                    break
 
     def _make_probe(self, cycle: int, lifetime: FaultLifetime | None = None):
         image = self.image

@@ -94,6 +94,18 @@ class PhysRegFile:
     def data_bits(self) -> int:
         return self.n_int * INT_REG_BITS + self.n_fp * FP_REG_BITS
 
+    def slot_of(self, bit_index: int) -> int:
+        """Register slot holding ``bit_index``: integer registers are slots
+        ``0..n_int-1``, floating-point register *i* is slot ``n_int + i``."""
+        int_bits = self.n_int * INT_REG_BITS
+        if bit_index < int_bits:
+            return bit_index // INT_REG_BITS
+        return self.n_int + (bit_index - int_bits) // FP_REG_BITS
+
+    def is_architectural(self, slot: int) -> bool:
+        """Whether ``slot`` is one of the 16 architectural int/fp registers."""
+        return slot < ARCH_REGS or 0 <= slot - self.n_int < ARCH_REGS
+
     def flip_bit(self, bit_index: int) -> bool:
         """Flip one bit; returns True when it hit an architectural register."""
         if not 0 <= bit_index < self.data_bits:

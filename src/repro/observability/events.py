@@ -78,13 +78,16 @@ class FaultLifetime:
         self._kinds: set = set()
         self._limit = limit
 
-    def event(self, kind: str, detail: str = "") -> None:
+    def event(self, kind: str, detail: str = "", cycle: int | None = None) -> None:
+        """Record ``(kind, detail)`` at ``cycle`` (default: the core's now)."""
         key = (kind, detail)
         if key in self._seen or len(self._events) >= self._limit:
             return
         self._seen.add(key)
         self._kinds.add(kind)
-        self._events.append(LifetimeEvent(kind, self._core.cycle, detail))
+        if cycle is None:
+            cycle = self._core.cycle
+        self._events.append(LifetimeEvent(kind, cycle, detail))
 
     def seen(self, kind: str) -> bool:
         return kind in self._kinds

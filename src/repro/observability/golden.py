@@ -14,6 +14,10 @@ checkpoints and digests (:func:`repro.injection.campaign.record_golden_observabl
   time buckets in which the golden run read that cache line or hit that
   TLB entry.
 
+The same capture run also records the last cycle at which the golden
+run accessed each physical register (:class:`RegisterUse`), which the
+injector uses to end register flips the program never touches again.
+
 A "unit" is the natural strike container of a component: a cache line
 for caches, an entry for TLBs.  Both structures are integer bitmaps, so
 a full activity capture costs a few kilobytes and pickles with the
@@ -105,6 +109,79 @@ def activity_grid(golden_cycles: int, points: int = DEFAULT_GRID_POINTS) -> list
     cycles = {step * (index + 1) for index in range(points)}
     cycles.add(max(1, golden_cycles - 1))
     return sorted(cycles)
+
+
+@dataclass(frozen=True)
+class RegisterUse:
+    """The golden run's last access cycle of every physical register.
+
+    ``last_use`` is indexed by register slot (:meth:`PhysRegFile.slot_of
+    <repro.microarch.regfile.PhysRegFile.slot_of>`: integer registers,
+    then floating-point ones); ``-1`` means the golden run never touched
+    the register.  A register whose last access precedes a flip's cycle
+    is never accessed again: the injected run stays the golden run, with
+    the flipped value sitting unread until program exit.
+    """
+
+    last_use: tuple[int, ...]
+
+    def dead_after(self, slots, cycle: int) -> bool:
+        """Whether every register in ``slots`` was last used before ``cycle``."""
+        last_use = self.last_use
+        return all(last_use[slot] < cycle for slot in slots)
+
+
+class _UseStampedRegs(list):
+    """Register list that stamps each register's latest access cycle.
+
+    Intercepts exactly what :class:`~repro.observability.taint._ProbedRegs`
+    intercepts - integer subscripts, reads and writes alike - so "last
+    used" means "last access a taint probe would have reported".
+    """
+
+    __slots__ = ("core", "last")
+
+    def __getitem__(self, index):
+        value = list.__getitem__(self, index)
+        if type(index) is int:
+            self.last[index] = self.core.cycle
+        return value
+
+    def __setitem__(self, index, value):
+        list.__setitem__(self, index, value)
+        if type(index) is int:
+            self.last[index] = self.core.cycle
+
+
+class RegisterUseRecorder:
+    """Observation-only register-file wrapper behind :class:`RegisterUse`.
+
+    :meth:`attach` before the golden capture run, :meth:`finish` after
+    it; the capture must run to program exit for "last" to mean last.
+    Wrapped lists hold the same values, and the translator compiles
+    wrapped variants for them that access registers in the
+    interpreter's order with exact cycle stamps, so both engines record
+    the same table.
+    """
+
+    def __init__(self, system):
+        self.rf = system.rf
+        self.core = system.core
+        self.last = {"int": [-1] * self.rf.n_int, "fp": [-1] * self.rf.n_fp}
+
+    def attach(self) -> "RegisterUseRecorder":
+        def wrap(kind, values):
+            stamped = _UseStampedRegs(values)
+            stamped.core = self.core
+            stamped.last = self.last[kind]
+            return stamped
+
+        self.rf.wrap_regs(wrap)
+        return self
+
+    def finish(self) -> RegisterUse:
+        self.rf.unwrap_regs()
+        return RegisterUse(tuple(self.last["int"] + self.last["fp"]))
 
 
 class ActivityRecorder:

@@ -36,10 +36,12 @@ def prepared(request):
     """(workload, golden, snapshots, digests, arch digests) per workload."""
     workload = get_workload(request.param)
     golden = run_golden(workload, MACHINE)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
+    capture = record_golden_observables(
         workload, MACHINE, golden, snapshot_count=6, digest_count=16
     )
-    return workload, golden, snapshots, digests, arch_digests
+    return (
+        workload, golden, capture.snapshots, capture.digests, capture.arch_digests
+    )
 
 
 def _image_pair(prepared):
