@@ -10,15 +10,14 @@ option of :class:`repro.injection.CampaignConfig`).
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis.report import format_table
-from repro.injection.campaign import (
-    record_golden_snapshots,
-    run_golden,
-    run_single_injection,
-)
+from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
+from repro.injection.parallel import ImageInjector
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.workloads import get_workload
 
@@ -28,8 +27,9 @@ FAULTS = 30
 def test_ablation_multibit_fault_model(benchmark, emit):
     def full_ablation():
         workload = get_workload("Susan E")
-        golden = run_golden(workload, SCALED_A9_CONFIG)
-        snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+        golden, image = prepare_image(
+            workload, CampaignConfig(lifetime_events=False)
+        )
         faults = generate_faults(
             Component.L1D,
             component_bits(SCALED_A9_CONFIG, Component.L1D),
@@ -39,16 +39,10 @@ def test_ablation_multibit_fault_model(benchmark, emit):
         )
         by_cluster = {}
         for bits in (1, 2, 4):
+            injector = ImageInjector(dataclasses.replace(image, cluster_size=bits))
             counts: dict[FaultEffect, int] = {}
             for fault in faults:
-                effect = run_single_injection(
-                    workload,
-                    fault,
-                    SCALED_A9_CONFIG,
-                    golden,
-                    snapshots=snapshots,
-                    cluster_size=bits,
-                )
+                effect = injector.run_fault(fault)
                 counts[effect] = counts.get(effect, 0) + 1
             by_cluster[bits] = counts
         return by_cluster

@@ -11,14 +11,11 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis.report import format_table
-from repro.injection.campaign import (
-    record_golden_snapshots,
-    run_golden,
-    run_single_injection,
-)
+from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
+from repro.injection.parallel import ImageInjector
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.workloads import get_workload
 
@@ -33,8 +30,10 @@ WRITE_THROUGH_CONFIG = dataclasses.replace(
 
 def campaign(machine) -> dict[FaultEffect, int]:
     workload = get_workload("Qsort")
-    golden = run_golden(workload, machine)
-    snapshots = record_golden_snapshots(workload, machine, golden)
+    golden, image = prepare_image(
+        workload, CampaignConfig(machine=machine, lifetime_events=False)
+    )
+    injector = ImageInjector(image)
     faults = generate_faults(
         Component.L1D,
         component_bits(machine, Component.L1D),
@@ -44,9 +43,7 @@ def campaign(machine) -> dict[FaultEffect, int]:
     )
     counts: dict[FaultEffect, int] = {}
     for fault in faults:
-        effect = run_single_injection(
-            workload, fault, machine, golden, snapshots=snapshots
-        )
+        effect = injector.run_fault(fault)
         counts[effect] = counts.get(effect, 0) + 1
     return counts
 

@@ -14,8 +14,9 @@ import os
 import time
 
 from repro.injection.campaign import (
+    CampaignConfig,
+    prepare_image,
     record_golden_observables,
-    record_golden_snapshots,
     run_golden,
 )
 from repro.injection.components import Component, component_bits
@@ -32,9 +33,7 @@ COMPONENTS = (Component.REGFILE, Component.L1D, Component.DTLB)
 
 def _build_plan():
     workload = get_workload("StringSearch")
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
-    image = MachineImage.capture(workload, SCALED_A9_CONFIG, golden, snapshots)
+    golden, image = prepare_image(workload, CampaignConfig(lifetime_events=False))
     plan = {
         component: generate_faults(
             component,

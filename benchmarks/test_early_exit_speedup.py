@@ -10,12 +10,13 @@ equivalence guarantee), and requires the pruned run to sustain at least
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
-from repro.injection.campaign import record_golden_captures, run_golden
+from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.parallel import MachineImage, run_injection_plan
+from repro.injection.parallel import run_injection_plan
 from repro.injection.telemetry import CampaignTelemetry
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.workloads import get_workload
@@ -27,17 +28,8 @@ SPEEDUP_BAR = 1.5
 
 def _build():
     workload = get_workload("StringSearch")
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests = record_golden_captures(
-        workload, SCALED_A9_CONFIG, golden
-    )
-    pruned = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True,
-    )
-    full = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots, early_exit=False
-    )
+    golden, pruned = prepare_image(workload, CampaignConfig(lifetime_events=False))
+    full = dataclasses.replace(pruned, early_exit=False)
     plan = {
         component: generate_faults(
             component,

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import time
 
-from repro.injection.campaign import (
-    record_golden_snapshots,
-    run_golden,
-)
+from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.parallel import MachineImage, run_injection_plan
+from repro.injection.parallel import run_injection_plan
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.observability.tracing import Tracer
 from repro.workloads import get_workload
@@ -41,11 +38,7 @@ def _min_seconds(fn, rounds: int = 3) -> float:
 def test_tracing_overhead(benchmark):
     """Armed-tracer campaign throughput >= 0.95x of ``tracer=None``."""
     workload = get_workload("StringSearch")
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
-    image = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots
-    )
+    golden, image = prepare_image(workload, CampaignConfig(lifetime_events=False))
     plan = {
         component: generate_faults(
             component,

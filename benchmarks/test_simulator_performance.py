@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.injection.campaign import (
-    record_golden_snapshots,
-    run_golden,
+    CampaignConfig,
+    prepare_image,
     run_single_injection,
 )
 from repro.injection.components import Component, component_bits
@@ -90,8 +90,7 @@ def test_ablation_decode_cache(benchmark):
 @pytest.fixture(scope="module")
 def injection_setup():
     workload = get_workload("Dijkstra")
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+    golden, image = prepare_image(workload, CampaignConfig())
     faults = generate_faults(
         Component.L1D,
         component_bits(SCALED_A9_CONFIG, Component.L1D),
@@ -99,7 +98,7 @@ def injection_setup():
         count=4,
         seed=21,
     )
-    return workload, golden, snapshots, faults
+    return workload, golden, image.snapshots, faults
 
 
 def test_injection_latency_checkpointed(benchmark, injection_setup):

@@ -7,9 +7,9 @@ engine (interpreter plus full-sweep restores, the pre-translation
 baseline) - on the int-heavy CRC32 workload, asserts the per-fault
 effect lists are byte-identical (translation and COW are result-neutral
 by construction), and requires the accelerated run to sustain at least
-8x the injections/sec of the baseline (the phase-1 straight-line
-translator measured ~7.7x on this box; chaining, loop superblocks and
-the double-word inline paths lifted that to ~12.7x).  Both sides keep
+8x the injections/sec of the baseline (see docs/PERFORMANCE.md for
+the recorded figures).  Both images come from one ``prepare_image``
+with lifetime events off and differ only in ``translate``; both keep
 early termination on, so the bar measures the translator/COW
 contribution on top of the existing pruning, not instead of it.
 
@@ -22,17 +22,14 @@ masking-mechanism histogram derived from them.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
-from repro.injection.campaign import (
-    record_golden_captures,
-    record_golden_observables,
-    run_golden,
-)
+from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.journal import RecordBuffer
-from repro.injection.parallel import MachineImage, run_injection_plan
+from repro.injection.parallel import run_injection_plan
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.observability.events import masking_mechanism
 from repro.workloads import get_workload
@@ -44,18 +41,10 @@ SPEEDUP_BAR = 8.0
 
 def _build():
     workload = get_workload("CRC32")
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests = record_golden_captures(
-        workload, SCALED_A9_CONFIG, golden
+    golden, accelerated = prepare_image(
+        workload, CampaignConfig(lifetime_events=False)
     )
-    accelerated = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True, translate=True,
-    )
-    baseline = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True, translate=False,
-    )
+    baseline = dataclasses.replace(accelerated, translate=False)
     plan = {
         component: generate_faults(
             component,
@@ -118,10 +107,7 @@ def test_taint_on_translator_equivalence():
     the analysis-facing numbers a campaign actually reports.
     """
     workload = get_workload("CRC32")
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    observed = record_golden_observables(workload, SCALED_A9_CONFIG, golden)
-    snapshots = observed.snapshots
-    digests, arch_digests = observed.digests, observed.arch_digests
+    golden, image = prepare_image(workload, CampaignConfig(trace_on_crash=16))
     plan = {
         component: generate_faults(
             component,
@@ -136,19 +122,13 @@ def test_taint_on_translator_equivalence():
     }
 
     def run(translate: bool):
-        image = MachineImage.capture(
-            workload,
-            SCALED_A9_CONFIG,
-            golden,
-            snapshots,
-            digests=digests,
-            arch_digests=arch_digests,
-            lifetime=True,
-            trace_on_crash=16,
-            translate=translate,
-        )
         journal = RecordBuffer()
-        effects = run_injection_plan(image, plan, jobs=1, journal=journal)
+        effects = run_injection_plan(
+            dataclasses.replace(image, translate=translate),
+            plan,
+            jobs=1,
+            journal=journal,
+        )
         histogram: dict = {}
         observed = []
         for record in journal.records:

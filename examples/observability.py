@@ -7,19 +7,17 @@ exactly did the fault strike (e.g., whether it was on kernel or user mode
 or data, whether the corrupted entry was used or not) but also detailed
 information of what was the system effect."
 
-This example runs an instrumented mini-campaign on the L1 data cache and breaks
-the outcomes down by the memory region the struck line was holding -
-the analysis a beam experiment fundamentally cannot produce.
+This example runs an observed mini-campaign on the L1 data cache - every
+injection goes through the campaign engine with a strike-site observer as
+its pre-flip hook - and breaks the outcomes down by the memory region the
+struck line was holding: the analysis a beam experiment fundamentally
+cannot produce.
 """
 
 from collections import Counter, defaultdict
 
 from repro import get_workload
-from repro.injection.campaign import (
-    record_golden_snapshots,
-    run_golden,
-    run_instrumented_injection,
-)
+from repro.injection.campaign import CampaignConfig, StrikeObserver, prepare_image
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.microarch.config import SCALED_A9_CONFIG
@@ -31,8 +29,8 @@ def main() -> None:
     workload = get_workload("Qsort")
     print(f"instrumented campaign: {FAULTS} L1D faults into {workload.name}\n")
 
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+    golden, image = prepare_image(workload, CampaignConfig(machine=SCALED_A9_CONFIG))
+    observer = StrikeObserver(image)
     faults = generate_faults(
         Component.L1D,
         component_bits(SCALED_A9_CONFIG, Component.L1D),
@@ -44,9 +42,7 @@ def main() -> None:
     by_region = defaultdict(Counter)
     modes = Counter()
     for fault in faults:
-        observation = run_instrumented_injection(
-            workload, fault, SCALED_A9_CONFIG, golden, snapshots=snapshots
-        )
+        observation = observer.observe(fault)
         region = observation.target_region or "(invalid line)"
         by_region[region][observation.effect.label] += 1
         modes[observation.mode_at_injection] += 1

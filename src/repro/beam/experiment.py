@@ -33,16 +33,17 @@ from repro.beam.facility import LANSCE, BeamFacility
 from repro.beam.fit import fit_rate, poisson_interval, sample_poisson
 from repro.errors import ConfigurationError
 from repro.injection.campaign import (
+    CHECKPOINTS,
     default_cache_dir,
     load_cache_entry,
     store_cache_entry,
 )
 from repro.injection.classify import FaultEffect
-from repro.injection.components import Component, component_bits
+from repro.injection.components import Component, component_bits, struck_region
 from repro.injection.fault import Fault
 from repro.injection.parallel import ImageInjector, MachineImage, boot_system
-from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
+from repro.microarch.digest import probe_cycles
 from repro.microarch.snapshot import SystemSnapshot, record_snapshots
 from repro.workloads.base import Workload
 
@@ -204,10 +205,7 @@ class BeamExperiment:
         # Checkpoint the warm reference run for fast-forwarded strikes:
         # replay it from the warm-boot state, snapshotting along the way.
         warm_boot.restore(system)
-        step = max(1, warm.cycles // 9)
-        checkpoints = record_snapshots(
-            system, [step * (index + 1) for index in range(8)]
-        )
+        checkpoints = record_snapshots(system, probe_cycles(warm.cycles, CHECKPOINTS))
         return dataclasses.replace(
             image, golden_cycles=warm.cycles, snapshots=[warm_boot] + checkpoints
         )
@@ -219,11 +217,9 @@ class BeamExperiment:
         board = self.config.board
         layout = self.config.machine.layout
 
-        def resolve(target, fault: Fault) -> None:
-            if isinstance(target, Cache) and target.line_at(fault.bit_index).valid:
-                region = layout.region_of(target.line_base_paddr(fault.bit_index))
-                if region == "os_background":
-                    raise BoardModelOutcome(board.sample_os_line_outcome(rng))
+        def resolve(_system, target, fault: Fault) -> None:
+            if struck_region(target, fault.bit_index, layout) == "os_background":
+                raise BoardModelOutcome(board.sample_os_line_outcome(rng))
 
         return resolve
 

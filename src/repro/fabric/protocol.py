@@ -41,7 +41,15 @@ PROTOCOL_VERSION = 1
 #: drops them, so old payloads and stored campaign rows still load (under
 #: a new, content-derived campaign id).
 RETIRED_SPEC_FIELDS = frozenset(
-    {"cow_images", "heat_threshold", "chain", "superblocks", "digest_probes"}
+    {
+        "cow_images",
+        "heat_threshold",
+        "chain",
+        "superblocks",
+        "digest_probes",
+        "use_checkpoints",
+        "checkpoint_count",
+    }
 )
 
 
@@ -110,8 +118,6 @@ class CampaignSpec:
     lifetime_events: bool = True
     trace_on_crash: int = 0
     translate: bool = True
-    use_checkpoints: bool = True
-    checkpoint_count: int = 8
     #: Learned importance sampling (adaptive-only today; carried so a
     #: fabric campaign's identity stays faithful to its config and so
     #: the field needs no wire-format change when adaptive campaigns
@@ -148,8 +154,6 @@ class CampaignSpec:
             lifetime_events=config.lifetime_events,
             trace_on_crash=config.trace_on_crash,
             translate=config.translate,
-            use_checkpoints=config.use_checkpoints,
-            checkpoint_count=config.checkpoint_count,
             learned_sampling=config.learned_sampling,
         )
 
@@ -165,8 +169,6 @@ class CampaignSpec:
             seed=self.seed,
             confidence=self.confidence,
             machine=resolve_machine(self.machine, self.machine_digest),
-            use_checkpoints=self.use_checkpoints,
-            checkpoint_count=self.checkpoint_count,
             cluster_size=self.cluster_size,
             early_exit=self.early_exit,
             lifetime_events=self.lifetime_events,

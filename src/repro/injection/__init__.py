@@ -29,9 +29,8 @@ from repro.injection.campaign import (
     ComponentResult,
     InjectionCampaign,
     InjectionObservation,
+    StrikeObserver,
     WorkloadResult,
-    record_golden_captures,
-    run_instrumented_injection,
     run_single_injection,
 )
 from repro.injection.parallel import (
@@ -66,9 +65,8 @@ __all__ = [
     "ComponentResult",
     "InjectionCampaign",
     "InjectionObservation",
+    "StrikeObserver",
     "WorkloadResult",
-    "record_golden_captures",
-    "run_instrumented_injection",
     "run_single_injection",
     "ENDED_DEAD_CELL",
     "ENDED_DIGEST",

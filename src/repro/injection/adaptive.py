@@ -78,6 +78,7 @@ from repro.injection.campaign import (
     ComponentResult,
     InjectionCampaign,
     WorkloadResult,
+    prepare_image,
 )
 from repro.injection.classify import ERROR_CLASSES, FaultEffect
 from repro.injection.components import Component, component_bits
@@ -715,7 +716,7 @@ class AdaptiveCampaign(InjectionCampaign):
             )
 
         config = self.config
-        golden, image = self._prepare_image(workload)
+        golden, image = prepare_image(workload, self.config)
         machine = config.machine
         planner = None
         if config.learned_sampling:

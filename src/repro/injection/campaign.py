@@ -34,13 +34,16 @@ from typing import Callable, Iterable
 
 from repro.errors import InjectionError
 from repro.injection.classify import FaultEffect, classify_run
-from repro.injection.components import Component, component_bits, component_target
+from repro.injection.components import (
+    Component,
+    component_bits,
+    component_target,
+    struck_region,
+)
 from repro.injection.fault import Fault, generate_faults
 from repro.injection.journal import InjectionJournal, JournalMeta
 from repro.injection.parallel import (
     DEFAULT_MAX_RETRIES,
-    WATCHDOG_FACTOR,
-    WATCHDOG_SLACK,
     ImageInjector,
     MachineImage,
     QuarantinedFault,
@@ -53,14 +56,12 @@ from repro.injection.sampling import (
     readjusted_margin,
     wilson_interval,
 )
+from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.digest import arch_digest, probe_cycles, system_digest
-from repro.microarch.snapshot import (
-    SystemSnapshot,
-    best_snapshot,
-    record_snapshots,
-)
+from repro.microarch.snapshot import SystemSnapshot, best_snapshot
 from repro.microarch.system import RunResult, System
+from repro.microarch.tlb import TLB
 from repro.microarch.translate import attach_translator
 from repro.observability.golden import (
     ActivityRecorder,
@@ -72,23 +73,25 @@ from repro.observability.golden import (
 from repro.workloads.base import Workload
 
 __all__ = [
-    "WATCHDOG_FACTOR",
-    "WATCHDOG_SLACK",
     "CampaignConfig",
     "ComponentResult",
     "WorkloadResult",
     "InjectionCampaign",
     "InjectionObservation",
+    "StrikeObserver",
     "default_cache_dir",
     "run_golden",
     "run_single_injection",
-    "run_instrumented_injection",
-    "record_golden_snapshots",
-    "record_golden_captures",
     "record_golden_observables",
     "prepare_image",
     "build_fault_plan",
 ]
+
+#: Evenly spaced golden checkpoints per image (the probe grid's spacing;
+#: see :func:`~repro.microarch.digest.probe_cycles`).  Injections restore
+#: the latest one before their flip; like ``early_exit``, the count
+#: cannot change any injection's effect.
+CHECKPOINTS = 8
 
 #: Evenly spaced golden-state digest probes per image.  More probes bound
 #: the post-convergence simulation tail more tightly but cost one state
@@ -132,10 +135,6 @@ class CampaignConfig:
     seed: int = 0
     confidence: float = 0.99
     machine: MachineConfig = SCALED_A9_CONFIG
-    #: Checkpoint-accelerated injection (results are identical; the prefix
-    #: of an injected run is bit-identical to the golden run).
-    use_checkpoints: bool = True
-    checkpoint_count: int = 8
     #: Fault model: number of adjacent bits flipped per injection.  The
     #: paper uses the single-bit model and discusses multi-cell upsets in
     #: recent technologies as a source of underestimation (Section II);
@@ -432,15 +431,19 @@ def run_single_injection(
     snapshots: list | None = None,
     cluster_size: int = 1,
 ) -> FaultEffect:
-    """Execute one injection experiment and classify its effect.
+    """Execute one injection on a freshly built machine and classify it.
 
-    With ``snapshots`` (from :func:`record_golden_snapshots`), the run is
+    This is the reference path: every injection boots its own
+    :class:`~repro.microarch.system.System` and runs it on the
+    interpreter, with no digest probes and no early exit.  The
+    equivalence suites check :class:`~repro.injection.parallel.ImageInjector`
+    against it; no campaign runs it.
+
+    With ``snapshots`` (a golden image's checkpoints), the run is
     fast-forwarded to the latest checkpoint before the injection cycle -
     the prefix is bit-identical to the fault-free run, so skipping it
-    cannot change the outcome (verified by the equivalence test suite).
-
-    ``cluster_size`` > 1 flips that many adjacent bits (multi-cell upset
-    model).
+    cannot change the outcome.  ``cluster_size`` > 1 flips that many
+    adjacent bits (multi-cell upset model).
     """
     system = System(workload.program(machine.layout), config=machine)
     if snapshots:
@@ -461,7 +464,7 @@ def run_single_injection(
 
 @dataclass(frozen=True)
 class InjectionObservation:
-    """What an instrumented injection observed (GeFIN-style visibility).
+    """What an observed injection saw (GeFIN-style visibility).
 
     Microarchitecture-level injection "offers significant amount of
     observability, allowing distinction of where exactly did the fault
@@ -477,95 +480,46 @@ class InjectionObservation:
     target_live: bool
 
 
-def run_instrumented_injection(
-    workload: Workload,
-    fault: Fault,
-    machine: MachineConfig,
-    golden: RunResult,
-    snapshots: list | None = None,
-    cluster_size: int = 1,
-) -> InjectionObservation:
-    """Like :func:`run_single_injection`, with strike-site observability.
+class StrikeObserver:
+    """Strike-site observation on an :class:`ImageInjector`.
 
-    ``cluster_size`` follows the same multi-cell-upset model as
-    :func:`run_single_injection` - the instrumentation only changes what
-    is *observed*, never which bits are flipped (the equivalence tests
-    assert identical effects for every cluster size).
+    The observer is the injector's ``pre_flip`` hook: at flip time,
+    before any bit flips, it records the core's privilege mode, the
+    region of the struck cache line (:func:`struck_region`) and whether
+    the struck cell is live - a valid cache line, a live field of a
+    valid TLB entry, or an architectural register.  It only observes:
+    which bits flip, and the effect, are the injector's.
     """
-    from repro.microarch.cache import Cache  # local import avoids a cycle
 
-    system = System(workload.program(machine.layout), config=machine)
-    if snapshots:
-        snapshot = best_snapshot(snapshots, fault.cycle)
-        if snapshot is not None:
-            snapshot.restore(system)
-    target = component_target(system, fault.component)
-    observed: dict = {}
+    def __init__(self, image: MachineImage):
+        self.layout = image.machine.layout
+        self.injector = ImageInjector(image, pre_flip=self._record)
+        self._site: tuple | None = None
 
-    def flip():
-        observed["mode"] = system.core.mode.name.lower()
-        population = target.data_bits
+    def _record(self, system: System, target, fault: Fault) -> None:
+        bit = fault.bit_index
         if isinstance(target, Cache):
-            line = target.line_at(fault.bit_index)
-            observed["live"] = line.valid
-            if line.valid:
-                observed["region"] = machine.layout.region_of(
-                    target.line_base_paddr(fault.bit_index)
-                )
-            first_unflipped = 0
+            live = target.line_at(bit).valid
+        elif isinstance(target, TLB):
+            live = target.bit_live(bit)
         else:
-            observed["live"] = target.flip_bit(fault.bit_index)
-            first_unflipped = 1
-        for offset in range(first_unflipped, cluster_size):
-            target.flip_bit((fault.bit_index + offset) % population)
+            live = target.is_architectural(target.slot_of(bit))
+        self._site = (
+            system.core.mode.name.lower(),
+            struck_region(target, bit, self.layout),
+            live,
+        )
 
-    result = system.run(
-        max_cycles=watchdog_budget(golden.cycles), events=[(fault.cycle, flip)]
-    )
-    effect = classify_run(result, golden.output, system)
-    return InjectionObservation(
-        fault=fault,
-        effect=effect,
-        mode_at_injection=observed.get("mode", "user"),
-        target_region=observed.get("region"),
-        target_live=bool(observed.get("live")),
-    )
+    def observe(self, fault: Fault) -> InjectionObservation:
+        """Run one injection and report where it struck.
 
-
-def record_golden_snapshots(
-    workload: Workload,
-    machine: MachineConfig,
-    golden: RunResult,
-    count: int = 8,
-) -> list:
-    """Checkpoint the golden run at ``count`` evenly spaced cycles."""
-    system = System(workload.program(machine.layout), config=machine)
-    step = max(1, golden.cycles // (count + 1))
-    cycles = [step * (index + 1) for index in range(count)]
-    return record_snapshots(system, cycles)
-
-
-def record_golden_captures(
-    workload: Workload,
-    machine: MachineConfig,
-    golden: RunResult,
-    snapshot_count: int = 8,
-    digest_count: int = 24,
-) -> tuple[list, dict[int, bytes]]:
-    """Capture checkpoints *and* state digests in one golden run.
-
-    Returns ``(snapshots, digests)`` where ``digests`` maps probe cycles
-    to full-machine state digests (:mod:`repro.microarch.digest`); see
-    :func:`record_golden_observables`.
-    """
-    capture = record_golden_observables(
-        workload,
-        machine,
-        golden,
-        snapshot_count=snapshot_count,
-        digest_count=digest_count,
-    )
-    return capture.snapshots, capture.digests
+        A fault whose flip never fires (the program ended first) reports
+        user mode and a dead cell.
+        """
+        self._site = None
+        effect = self.injector.run_fault(fault)
+        mode, region, live = self._site or ("user", None, False)
+        return InjectionObservation(fault, effect, mode, region, live)
 
 
 @dataclass(frozen=True)
@@ -592,13 +546,14 @@ def record_golden_observables(
     workload: Workload,
     machine: MachineConfig,
     golden: RunResult,
-    snapshot_count: int = 8,
-    digest_count: int = 24,
+    digest_count: int = DIGEST_PROBES,
     record_activity: bool = False,
     translate: bool = False,
 ) -> GoldenCapture:
     """Capture checkpoints, digests, register use and activity at once.
 
+    The :data:`CHECKPOINTS` checkpoints and the ``digest_count`` probes
+    sit on evenly spaced grids (:func:`~repro.microarch.digest.probe_cycles`).
     ``digests`` maps probe cycles to full-machine state digests (early
     Masked termination); ``arch_digests`` maps the *same* probe cycles to
     architectural-state digests (:func:`~repro.microarch.digest.arch_digest`),
@@ -618,8 +573,6 @@ def record_golden_observables(
     digests; the recorded observables are identical either way.
     """
     system = System(workload.program(machine.layout), config=machine)
-    step = max(1, golden.cycles // (snapshot_count + 1))
-    snapshot_cycles = [step * (index + 1) for index in range(snapshot_count)]
     snapshots: list[SystemSnapshot] = []
     digests: dict[int, bytes] = {}
     arch_digests: dict[int, bytes] = {}
@@ -637,7 +590,9 @@ def record_golden_observables(
 
         return capture
 
-    captures = [(cycle, snap) for cycle in sorted(set(snapshot_cycles))]
+    captures = [
+        (cycle, snap) for cycle in probe_cycles(golden.cycles, CHECKPOINTS)
+    ]
     captures += [
         (cycle, make_probe(cycle))
         for cycle in probe_cycles(golden.cycles, digest_count)
@@ -695,45 +650,37 @@ def prepare_image(
     """
     machine = config.machine
     golden = run_golden(workload, machine)
-    snapshot_count = config.checkpoint_count if config.use_checkpoints else 0
     # The probe grid serves both early termination and fault-lifetime
     # divergence stamping, so either feature keeps it alive.
     digest_count = (
         DIGEST_PROBES if (config.early_exit or config.lifetime_events) else 0
     )
-    record_activity = config.learned_sampling and config.target_margin is not None
-    snapshots: list | None = None
-    observed: dict = {}
-    if snapshot_count or digest_count or record_activity:
-        capture = record_golden_observables(
-            workload,
-            machine,
-            golden,
-            snapshot_count=snapshot_count,
-            digest_count=digest_count,
-            record_activity=record_activity,
-            translate=config.translate,
-        )
-        snapshots = capture.snapshots
-        observed = dict(
-            digests=capture.digests,
-            arch_digests=capture.arch_digests,
-            probe_fired=capture.probe_fired,
-            register_use=capture.register_use,
-            activity=capture.activity,
-        )
+    capture = record_golden_observables(
+        workload,
+        machine,
+        golden,
+        digest_count=digest_count,
+        record_activity=(
+            config.learned_sampling and config.target_margin is not None
+        ),
+        translate=config.translate,
+    )
     image = MachineImage.capture(
         workload,
         machine,
         golden,
-        snapshots,
+        capture.snapshots,
+        digests=capture.digests,
+        arch_digests=capture.arch_digests,
+        probe_fired=capture.probe_fired,
+        register_use=capture.register_use,
+        activity=capture.activity,
         cluster_size=config.cluster_size,
         early_exit=config.early_exit,
         lifetime=config.lifetime_events,
         trace_on_crash=config.trace_on_crash,
         translate=config.translate,
         profile=config.profile,
-        **observed,
     )
     # The golden and capture machines are now garbage of tens of MiB
     # each, held in reference cycles.  Left to the allocation-driven
@@ -855,10 +802,6 @@ class InjectionCampaign:
 
     # -- execution -------------------------------------------------------------
 
-    def _prepare_image(self, workload: Workload) -> tuple[RunResult, MachineImage]:
-        """Delegate to the shared :func:`prepare_image` seam."""
-        return prepare_image(workload, self.config)
-
     def run_workload(
         self,
         workload: Workload,
@@ -886,18 +829,9 @@ class InjectionCampaign:
                 + ",".join(component.name for component in missing)
             )
 
-        golden, image = self._prepare_image(workload)
+        golden, image = prepare_image(workload, self.config)
         machine = self.config.machine
-        plan = {
-            component: generate_faults(
-                component,
-                component_bits(machine, component),
-                golden.cycles,
-                self.config.faults_per_component,
-                seed=self.config.seed,
-            )
-            for component in missing
-        }
+        plan = build_fault_plan(self.config, golden.cycles, missing)
         journal = self._open_journal(workload.name, golden.cycles)
         quarantined: list[QuarantinedFault] = []
         # Profiling keeps the injector in our hands: the op histogram and

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import enum
 
+from repro.kernel.layout import MemoryLayout
+from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig
 from repro.microarch.system import System
 
@@ -34,6 +36,16 @@ def component_target(system: System, component: Component):
         Component.DTLB: system.dtlb,
         Component.ITLB: system.itlb,
     }[component]
+
+
+def struck_region(target, bit_index: int, layout: MemoryLayout) -> str | None:
+    """Memory region the line holding ``bit_index`` caches, if valid.
+
+    ``None`` for an invalid cache line and for non-cache targets.
+    """
+    if isinstance(target, Cache) and target.line_at(bit_index).valid:
+        return layout.region_of(target.line_base_paddr(bit_index))
+    return None
 
 
 def component_bits(config: MachineConfig, component: Component) -> int:

@@ -286,16 +286,18 @@ class ImageInjector:
     bit-identical to booting a fresh machine (the fidelity tests assert
     this).
 
-    ``pre_flip(target, fault)``, when given, is called inside the flip
-    event before any bit flips, with the struck structure; it may raise to
-    end the run (the beam's board model resolves background-OS line hits
-    this way), and the exception propagates out of :meth:`run_fault`.
+    ``pre_flip(system, target, fault)``, when given, is called inside the
+    flip event before any bit flips, with the machine and the struck
+    structure.  It may observe (:class:`~repro.injection.campaign.StrikeObserver`
+    records the strike site this way) or raise to end the run (the beam's
+    board model resolves background-OS line hits this way); the exception
+    propagates out of :meth:`run_fault`.
     """
 
     def __init__(
         self,
         image: MachineImage,
-        pre_flip: Callable[[object, Fault], None] | None = None,
+        pre_flip: Callable[[System, object, Fault], None] | None = None,
     ):
         self.image = image
         self.pre_flip = pre_flip
@@ -371,7 +373,7 @@ class ImageInjector:
 
         def flip():
             if pre_flip is not None:
-                pre_flip(target, fault)
+                pre_flip(system, target, fault)
             if (
                 early
                 and isinstance(target, Cache)

@@ -134,16 +134,23 @@ class TLB:
     def data_bits(self) -> int:
         return self.geometry.data_bits
 
-    def flip_bit(self, bit_index: int) -> bool:
-        """Flip one bit of one entry.
+    def bit_live(self, bit_index: int) -> bool:
+        """Whether flipping ``bit_index`` could be observed.
 
-        Returns ``True`` when the flip lands in a live field of a valid
-        entry (tag, physical page, or permissions) and can therefore be
-        observed; ``False`` when it lands in an invalid entry or in the
-        unused attribute bits.
+        ``True`` for a live field of a valid entry (tag, physical page, or
+        permissions); ``False`` for an invalid entry or the unused
+        attribute bits.  Reads nothing but the entry's state.
         """
+        entry_bits = self.geometry.entry_bits
+        bit = bit_index % entry_bits
+        live = bit in VPN_FIELD or bit in PPN_FIELD or bit in PERM_FIELD
+        return live and self.entries[bit_index // entry_bits].valid
+
+    def flip_bit(self, bit_index: int) -> bool:
+        """Flip one bit of one entry; returns :meth:`bit_live` for it."""
         if not 0 <= bit_index < self.data_bits:
             raise InjectionError(f"{self.name}: bit index {bit_index} out of range")
+        live = self.bit_live(bit_index)
         entry_bits = self.geometry.entry_bits
         entry = self.entries[bit_index // entry_bits]
         bit = bit_index % entry_bits
@@ -156,13 +163,10 @@ class TLB:
                 # The corrupted tag now (mis)matches a different page.
                 self._map[entry.vpn] = entry
             self.version += 1
-            return entry.valid
-        if bit in PPN_FIELD:
+        elif bit in PPN_FIELD:
             entry.ppn ^= 1 << (bit - PPN_FIELD.start)
             self.version += 1
-            return entry.valid
-        if bit in PERM_FIELD:
+        elif bit in PERM_FIELD:
             entry.perms ^= 1 << (bit - PERM_FIELD.start)
             self.version += 1
-            return entry.valid
-        return False
+        return live

@@ -26,6 +26,7 @@ from repro.injection.components import Component, component_bits, component_targ
 from repro.injection.fault import Fault
 from repro.injection.parallel import ImageInjector, watchdog_budget
 from repro.microarch.cache import Cache
+from repro.microarch.digest import probe_cycles
 from repro.microarch.snapshot import SystemSnapshot, best_snapshot, record_snapshots
 from repro.microarch.system import System
 from repro.workloads import get_workload
@@ -55,8 +56,7 @@ def _reference_checkpoints(workload, golden: bytes):
     warm = system.run(max_cycles=200_000_000)
     replay = _beam_system(workload, golden)
     warm_boot.restore(replay)
-    step = max(1, warm.cycles // 9)
-    checkpoints = record_snapshots(replay, [step * (i + 1) for i in range(8)])
+    checkpoints = record_snapshots(replay, probe_cycles(warm.cycles, 8))
     return warm.cycles, [warm_boot] + checkpoints
 
 

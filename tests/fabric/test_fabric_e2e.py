@@ -279,6 +279,8 @@ class TestLegacyCampaignRow:
             "heat_threshold": 16,
             "chain": True,
             "superblocks": True,
+            "use_checkpoints": True,
+            "checkpoint_count": 8,
         }
         canonical = json.dumps(legacy, sort_keys=True).encode()
         legacy_id = hashlib.blake2b(canonical, digest_size=6).hexdigest()

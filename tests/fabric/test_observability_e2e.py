@@ -98,6 +98,14 @@ def outcome(tmp_path_factory, workload, config, serial):
                      heartbeat_interval=0.1)
         for index in range(2)
     ]
+    # Each worker executes one window before the threads race, so both
+    # report health: a worker that started first could otherwise drain
+    # every window and leave the other with no report at all.
+    deadline = time.monotonic() + 300
+    for worker in workers:
+        while not worker.run_one():
+            assert time.monotonic() < deadline, "campaign never became leasable"
+            time.sleep(0.05)
     worker_threads = [
         threading.Thread(target=worker.run, kwargs={"max_idle_polls": 40})
         for worker in workers

@@ -11,13 +11,14 @@ journal, and the rendered report.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.injection.campaign import (
     CampaignConfig,
     InjectionCampaign,
-    record_golden_captures,
-    run_golden,
+    prepare_image,
 )
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
@@ -28,7 +29,6 @@ from repro.injection.parallel import (
     ENDED_FULL,
     ImageInjector,
     InjectionResult,
-    MachineImage,
     run_injection_plan,
 )
 from repro.injection.telemetry import CampaignTelemetry
@@ -44,25 +44,18 @@ WORKLOAD_NAMES = ("StringSearch", "MatMul")
 
 @pytest.fixture(scope="module", params=WORKLOAD_NAMES)
 def prepared(request):
-    """(workload, golden, snapshots, digests) for each equivalence workload."""
+    """(workload, golden, image) for each equivalence workload."""
     workload = get_workload(request.param)
-    golden = run_golden(workload, MACHINE)
-    snapshots, digests = record_golden_captures(
-        workload, MACHINE, golden, snapshot_count=6, digest_count=16
+    golden, image = prepare_image(
+        workload, CampaignConfig(machine=MACHINE, lifetime_events=False)
     )
-    return workload, golden, snapshots, digests
+    return workload, golden, image
 
 
 def _image_pair(prepared, cluster_size: int):
-    workload, golden, snapshots, digests = prepared
-    pruned = MachineImage.capture(
-        workload, MACHINE, golden, snapshots,
-        cluster_size=cluster_size, digests=digests, early_exit=True,
-    )
-    full = MachineImage.capture(
-        workload, MACHINE, golden, snapshots,
-        cluster_size=cluster_size, early_exit=False,
-    )
+    _workload, _golden, image = prepared
+    pruned = dataclasses.replace(image, cluster_size=cluster_size)
+    full = dataclasses.replace(pruned, early_exit=False)
     return pruned, full
 
 
@@ -71,7 +64,7 @@ class TestPerFaultEquivalence:
     def test_effects_identical_for_every_component(
         self, prepared, cluster_size
     ):
-        _workload, golden, _snapshots, _digests = prepared
+        _workload, golden, _image = prepared
         pruned_image, full_image = _image_pair(prepared, cluster_size)
         pruned, full = ImageInjector(pruned_image), ImageInjector(full_image)
         for component in Component:
@@ -94,7 +87,7 @@ class TestPerFaultEquivalence:
                 )
 
     def test_early_terminations_are_masked_and_account_savings(self, prepared):
-        _workload, golden, _snapshots, _digests = prepared
+        _workload, golden, _image = prepared
         pruned_image, _full = _image_pair(prepared, 1)
         injector = ImageInjector(pruned_image)
         ended = set()
@@ -118,7 +111,7 @@ class TestPerFaultEquivalence:
 
     def test_run_fault_still_returns_bare_effect(self, prepared):
         """Backward compatibility: ``run_fault`` keeps its old contract."""
-        _workload, golden, _snapshots, _digests = prepared
+        _workload, golden, _image = prepared
         pruned_image, _full = _image_pair(prepared, 1)
         injector = ImageInjector(pruned_image)
         fault = generate_faults(
@@ -140,7 +133,8 @@ class TestClusterStraddle:
         reaches into a valid line; the dead-cell short-circuit must leave
         it alone, and the effect must match the unpruned run.
         """
-        workload, golden, snapshots, digests = prepared
+        workload, golden, image = prepared
+        snapshots = image.snapshots
         probe = System(workload.program(DEFAULT_LAYOUT), config=MACHINE)
         snapshot = snapshots[len(snapshots) // 2]
         snapshot.restore(probe)
@@ -167,7 +161,8 @@ class TestClusterStraddle:
         assert result.effect is reference.effect
 
     def test_fully_dead_cluster_is_short_circuited(self, prepared):
-        workload, golden, snapshots, _digests = prepared
+        workload, golden, image = prepared
+        snapshots = image.snapshots
         probe = System(workload.program(DEFAULT_LAYOUT), config=MACHINE)
         snapshot = snapshots[len(snapshots) // 2]
         snapshot.restore(probe)
@@ -196,7 +191,7 @@ class TestCampaignIntegration:
     def test_campaign_tallies_identical_with_and_without_early_exit(
         self, prepared, tmp_path
     ):
-        workload, _golden, _snapshots, _digests = prepared
+        workload, _golden, _image = prepared
         results = {}
         for early_exit in (True, False):
             campaign = InjectionCampaign(
@@ -224,7 +219,7 @@ class TestCampaignIntegration:
         assert base.cache_key("X") == pruned.cache_key("X")
 
     def test_plan_feeds_termination_telemetry(self, prepared):
-        workload, golden, _snapshots, _digests = prepared
+        workload, golden, _image = prepared
         pruned_image, _full = _image_pair(prepared, 1)
         plan = {
             Component.L2: generate_faults(

@@ -8,6 +8,7 @@ build-a-fresh-System path bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -15,15 +16,13 @@ import pytest
 from repro.injection.campaign import (
     CampaignConfig,
     InjectionCampaign,
-    record_golden_snapshots,
-    run_golden,
+    prepare_image,
     run_single_injection,
 )
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.parallel import (
     ImageInjector,
-    MachineImage,
     resolve_jobs,
     run_injection_plan,
     watchdog_budget,
@@ -43,18 +42,23 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def golden(workload):
-    return run_golden(workload, SCALED_A9_CONFIG)
+def prepared(workload):
+    return prepare_image(workload, CampaignConfig(lifetime_events=False))
 
 
 @pytest.fixture(scope="module")
-def snapshots(workload, golden):
-    return record_golden_snapshots(workload, SCALED_A9_CONFIG, golden, count=4)
+def golden(prepared):
+    return prepared[0]
 
 
 @pytest.fixture(scope="module")
-def image(workload, golden, snapshots):
-    return MachineImage.capture(workload, SCALED_A9_CONFIG, golden, snapshots)
+def image(prepared):
+    return prepared[1]
+
+
+@pytest.fixture(scope="module")
+def snapshots(image):
+    return image.snapshots
 
 
 class TestResolveJobs:
@@ -180,21 +184,14 @@ class TestAccelerationEquivalence:
         }
 
     @pytest.fixture(scope="class")
-    def baseline_effects(self, workload, golden, snapshots, plan):
-        image = MachineImage.capture(
-            workload, SCALED_A9_CONFIG, golden, snapshots,
-            translate=False,
-        )
-        return run_injection_plan(image, plan, jobs=1)
+    def baseline_effects(self, image, plan):
+        reference = dataclasses.replace(image, translate=False)
+        return run_injection_plan(reference, plan, jobs=1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_accelerated_effects_are_byte_identical(
-        self, workload, golden, snapshots, plan, baseline_effects, jobs
+        self, image, plan, baseline_effects, jobs
     ):
-        image = MachineImage.capture(
-            workload, SCALED_A9_CONFIG, golden, snapshots,
-            translate=True,
-        )
         assert run_injection_plan(image, plan, jobs=jobs) == baseline_effects
 
     def test_knobs_do_not_change_the_cache_key(self):

@@ -19,8 +19,7 @@ from repro.errors import InjectionError
 from repro.injection.campaign import (
     CampaignConfig,
     InjectionCampaign,
-    record_golden_snapshots,
-    run_golden,
+    prepare_image,
 )
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
@@ -28,7 +27,6 @@ from repro.injection.fault import generate_faults
 from repro.injection.journal import InjectionJournal, JournalMeta, read_journal
 from repro.injection.parallel import (
     ImageInjector,
-    MachineImage,
     _validate_effects,
     run_injection_plan,
 )
@@ -57,14 +55,18 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def golden(workload):
-    return run_golden(workload, SCALED_A9_CONFIG)
+def prepared(workload):
+    return prepare_image(workload, CampaignConfig(lifetime_events=False))
 
 
 @pytest.fixture(scope="module")
-def image(workload, golden):
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden, count=4)
-    return MachineImage.capture(workload, SCALED_A9_CONFIG, golden, snapshots)
+def golden(prepared):
+    return prepared[0]
+
+
+@pytest.fixture(scope="module")
+def image(prepared):
+    return prepared[1]
 
 
 @pytest.fixture(scope="module")

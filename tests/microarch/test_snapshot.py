@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.injection.campaign import (
-    record_golden_snapshots,
-    run_golden,
-    run_single_injection,
-)
+from repro.injection.campaign import run_golden, run_single_injection
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.kernel.layout import DEFAULT_LAYOUT
 from repro.microarch.config import SCALED_A9_CONFIG
-from repro.microarch.digest import system_digest
+from repro.microarch.digest import probe_cycles, system_digest
 from repro.microarch.snapshot import (
     DeltaRestorer,
     SystemSnapshot,
@@ -39,7 +35,8 @@ def golden(workload):
 
 @pytest.fixture(scope="module")
 def snapshots(workload, golden):
-    return record_golden_snapshots(workload, SCALED_A9_CONFIG, golden, count=4)
+    system = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
+    return record_snapshots(system, probe_cycles(golden.cycles, 4))
 
 
 class TestSnapshotMechanics:

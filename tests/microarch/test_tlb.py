@@ -102,6 +102,18 @@ class TestInjection:
         tlb.flip_bit(PPN_FIELD.start)
         assert tlb.version > version
 
+    def test_bit_live_predicts_flip_without_mutating(self, tlb):
+        tlb.fill(3, 7, 1)
+        tlb.fill(4, 8, 2)
+        for bit in range(tlb.data_bits):
+            state = [(e.valid, e.vpn, e.ppn, e.perms) for e in tlb.entries]
+            version = tlb.version
+            live = tlb.bit_live(bit)
+            assert [(e.valid, e.vpn, e.ppn, e.perms) for e in tlb.entries] == state
+            assert tlb.version == version
+            assert tlb.flip_bit(bit) is live
+            tlb.flip_bit(bit)  # undo
+
 
 @given(
     fills=st.lists(

@@ -8,13 +8,15 @@ checks of the event sequences the taint probes produce on real runs.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.injection.campaign import record_golden_observables, run_golden
+from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.parallel import ImageInjector, MachineImage
+from repro.injection.parallel import ImageInjector
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.observability.events import (
     EV_FLIP,
@@ -33,29 +35,18 @@ WORKLOAD_NAMES = ("StringSearch", "MatMul")
 
 @pytest.fixture(scope="module", params=WORKLOAD_NAMES)
 def prepared(request):
-    """(workload, golden, snapshots, digests, arch digests) per workload."""
+    """(workload, golden, image with events on and early exit off)."""
     workload = get_workload(request.param)
-    golden = run_golden(workload, MACHINE)
-    capture = record_golden_observables(
-        workload, MACHINE, golden, snapshot_count=6, digest_count=16
+    golden, image = prepare_image(
+        workload, CampaignConfig(machine=MACHINE, early_exit=False)
     )
-    return (
-        workload, golden, capture.snapshots, capture.digests, capture.arch_digests
-    )
+    return workload, golden, image
 
 
 def _image_pair(prepared):
     """The same machine with events on and off, early exit off in both."""
-    workload, golden, snapshots, digests, arch_digests = prepared
-    with_events = MachineImage.capture(
-        workload, MACHINE, golden, snapshots,
-        digests=digests, arch_digests=arch_digests,
-        early_exit=False, lifetime=True,
-    )
-    without = MachineImage.capture(
-        workload, MACHINE, golden, snapshots, early_exit=False,
-    )
-    return with_events, without
+    with_events = prepared[2]
+    return with_events, dataclasses.replace(with_events, lifetime=False)
 
 
 class TestClassificationEquivalence:
